@@ -2,25 +2,28 @@ package emulator
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"tota/internal/agg"
 	"tota/internal/core"
 	"tota/internal/pattern"
 	"tota/internal/topology"
+	"tota/internal/transport"
 	"tota/internal/tuple"
 )
 
 // stagedPathsRun captures everything a staged-send scenario puts on the
 // wire, directly or summarized: final distributed state, the two
-// convergecast answers, and the middleware/radio counters.
+// convergecast answers, the middleware/radio counters and every node's
+// engine-decision trace.
 type stagedPathsRun struct {
-	fingerprint  string
-	sumA, sumB   float64
-	okA, okB     bool
-	nodeStats    core.Stats
-	simDelivered int64
-	simSent      int64
+	fingerprint string
+	sumA, sumB  float64
+	okA, okB    bool
+	nodeStats   core.Stats
+	simStats    transport.Stats
+	traces      map[tuple.NodeID][]string
 }
 
 // runStagedPathsScenario drives the two staged-send paths that live
@@ -32,6 +35,13 @@ type stagedPathsRun struct {
 // sources mid-run and the cooldown re-admits them before the end.
 func runStagedPathsScenario(seed int64, shards, workers int) stagedPathsRun {
 	const side = 6
+	var traceMu sync.Mutex
+	traces := make(map[tuple.NodeID][]string)
+	tracer := func(ev core.TraceEvent) {
+		traceMu.Lock()
+		traces[ev.Node] = append(traces[ev.Node], ev.String())
+		traceMu.Unlock()
+	}
 	w := New(Config{
 		Graph:        topology.Grid(side, side, 1),
 		RefreshEvery: 2,
@@ -46,6 +56,7 @@ func runStagedPathsScenario(seed int64, shards, workers int) stagedPathsRun {
 			core.WithSuspicion(2),
 			core.WithPullBackoff(6),
 			core.WithQuarantine(2, 10),
+			core.WithTracer(tracer),
 		},
 	})
 	n := side * side
@@ -94,8 +105,8 @@ func runStagedPathsScenario(seed int64, shards, workers int) stagedPathsRun {
 	rb, out.okB = w.Node(srcB).AggResult(idB)
 	out.sumA, out.sumB = ra.Value(), rb.Value()
 	out.nodeStats = w.TotalStats()
-	st := w.Sim().Stats()
-	out.simDelivered, out.simSent = st.Delivered, st.Sent
+	out.simStats = w.Sim().Stats()
+	out.traces = traces
 	return out
 }
 
@@ -141,9 +152,8 @@ func TestStagedSendPathsDeterministic(t *testing.T) {
 		if run.nodeStats != serial.nodeStats {
 			t.Errorf("%s: middleware counters diverged:\n got %+v\nwant %+v", label, run.nodeStats, serial.nodeStats)
 		}
-		if run.simDelivered != serial.simDelivered || run.simSent != serial.simSent {
-			t.Errorf("%s: radio counters diverged: got sent=%d delivered=%d, want sent=%d delivered=%d",
-				label, run.simSent, run.simDelivered, serial.simSent, serial.simDelivered)
+		if run.simStats != serial.simStats {
+			t.Errorf("%s: radio counters diverged:\n got %+v\nwant %+v", label, run.simStats, serial.simStats)
 		}
 	}
 }

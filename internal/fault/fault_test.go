@@ -1,13 +1,17 @@
 package fault_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
+	"tota/internal/core"
 	"tota/internal/emulator"
 	"tota/internal/fault"
 	"tota/internal/mobility"
@@ -322,7 +326,7 @@ func chaosPlan() fault.Plan {
 }
 
 // fingerprint summarizes the full distributed state (every node's
-// stored tuples) plus the summed engine counters.
+// stored tuples) plus the summed engine and radio counters.
 func fingerprint(w *emulator.World) string {
 	var b strings.Builder
 	for _, id := range w.Nodes() {
@@ -335,12 +339,21 @@ func fingerprint(w *emulator.World) string {
 		fmt.Fprintf(&b, "%s:{%s}\n", id, strings.Join(lines, ";"))
 	}
 	fmt.Fprintf(&b, "stats:%+v\n", w.TotalStats())
+	fmt.Fprintf(&b, "radio:%+v\n", w.Sim().Stats())
 	return b.String()
 }
 
 // runChaosScenario drives a mobile lossy world through the full fault
-// matrix and returns its final fingerprint.
+// matrix and returns its final fingerprint followed by every node's
+// engine trace in node-id order.
 func runChaosScenario(seed int64, workers int) string {
+	var traceMu sync.Mutex
+	traces := make(map[tuple.NodeID][]string)
+	tracer := func(ev core.TraceEvent) {
+		traceMu.Lock()
+		traces[ev.Node] = append(traces[ev.Node], ev.String())
+		traceMu.Unlock()
+	}
 	rng := rand.New(rand.NewSource(seed))
 	g := topology.ConnectedRandomGeometric(24, 10, 3, rng, 100)
 	if g == nil {
@@ -353,6 +366,7 @@ func runChaosScenario(seed int64, workers int) string {
 		RefreshEvery: 3,
 		Seed:         seed,
 		Workers:      workers,
+		NodeOptions:  []core.Option{core.WithTracer(tracer)},
 	})
 	bounds := space.Rect{Max: space.Point{X: 10, Y: 10}}
 	for i, id := range g.Nodes() {
@@ -369,7 +383,17 @@ func runChaosScenario(seed int64, workers int) string {
 		w.Tick(0.5)
 	}
 	w.Settle(100000)
-	return fingerprint(w)
+	var b strings.Builder
+	b.WriteString(fingerprint(w))
+	ids := make([]tuple.NodeID, 0, len(traces))
+	for id := range traces {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, id := range ids {
+		fmt.Fprintf(&b, "trace %s %d\n%s\n", id, len(traces[id]), strings.Join(traces[id], "\n"))
+	}
+	return b.String()
 }
 
 // TestFaultPlanDeterministicAcrossWorkers extends the emulator's
@@ -393,5 +417,17 @@ func TestFaultPlanDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if other := runChaosScenario(100, 1); other == serial {
 		t.Error("different seeds produced identical universes (suspicious)")
+	}
+}
+
+// TestChaosGoldenDigest pins the chaos scenario to the output recorded
+// when the radio still had a parallel delivery pool: the serial stepper
+// must reproduce that universe bit for bit. Regenerate the digest only
+// for an intended behavior change, and say so in the change log.
+func TestChaosGoldenDigest(t *testing.T) {
+	const want = "447035a0d767ef0860191704e5d6a0af87898d2ee78c1f1094b649166e2f6886"
+	sum := sha256.Sum256([]byte(runChaosScenario(99, 0)))
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("digest = %s, want %s", got, want)
 	}
 }

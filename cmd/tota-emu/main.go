@@ -6,9 +6,9 @@
 //
 //	tota-emu -scenario gradient|flock|routing|meeting|aggregate|scale [-w 12] [-h 8] [-rounds 100]
 //
-// The scale scenario drives the spatially sharded stepper:
+// The scale scenario settles one gradient over a large jittered grid:
 //
-//	tota-emu -scenario scale -nodes 100489 -shards 0
+//	tota-emu -scenario scale -nodes 100489
 package main
 
 import (
@@ -52,7 +52,6 @@ func run(args []string) error {
 	dash := fs.Int("dash", 0, "print a one-line telemetry dashboard every N radio rounds")
 	report := fs.String("report", "", "write the final aggregated JSON report to this file ('-' for stdout)")
 	nodes := fs.Int("nodes", 10000, "network size for the scale scenario")
-	shards := fs.Int("shards", 0, "tick-phase shard workers for the scale scenario (0 = GOMAXPROCS, 1 = serial)")
 	traceFile := fs.String("trace.jsonl", "", "export engine trace events as JSONL to this file ('-' for stderr); feed the file to tota-trace")
 	flightSize := fs.Int("trace.flight", 0, "keep the last N trace events in an in-memory flight recorder (served at /debug/flight, dumped to stderr on crash)")
 	sample := fs.Float64("trace.sample", 1, "fraction of injected tuples carrying a wire-level trace context when tracing is on")
@@ -82,7 +81,7 @@ func run(args []string) error {
 	case "aggregate":
 		err = aggregateScenario(*width, *height, *ticks, env)
 	case "scale":
-		err = scaleScenario(*nodes, *shards, *ticks)
+		err = scaleScenario(*nodes, *ticks)
 	default:
 		return fmt.Errorf("unknown scenario %q", *scenario)
 	}
@@ -434,18 +433,18 @@ func aggregateScenario(w, h int, epochs int, env *obsEnv) error {
 }
 
 // scaleScenario is the headline 100k-node run from the CLI: a gradient
-// settled over a jittered grid with the spatially sharded stepper, then
-// a few mobility ticks — the same deterministic pipeline as experiment
-// E15, so the published numbers are reproducible with one command.
-func scaleScenario(nodes, shards, ticks int) error {
+// settled over a jittered grid, then a few mobility ticks — the same
+// deterministic pipeline as experiment E15, so the published numbers
+// are reproducible with one command.
+func scaleScenario(nodes, ticks int) error {
 	if nodes < 2 {
 		return fmt.Errorf("-nodes must be at least 2, got %d", nodes)
 	}
 	if ticks <= 0 {
 		ticks = 3
 	}
-	fmt.Printf("settling one gradient over %d nodes (shards=%d)...\n", nodes, shards)
-	r := experiment.RunE15N(nodes, shards, ticks)
+	fmt.Printf("settling one gradient over %d nodes...\n", nodes)
+	r := experiment.RunE15N(nodes, ticks)
 	fmt.Printf("built %d nodes / %d edges in %.2fs\n", r.Nodes, r.Edges, r.BuildSec)
 	fmt.Printf("settled in %d rounds / %.2fs (%.1f rounds/s), %d radio sends\n",
 		r.Rounds, r.SettleSec, r.RoundsPerSec, r.Msgs)

@@ -132,9 +132,8 @@ func (s Stats) Add(o Stats) Stats {
 
 // atomicStats is the node's live counter set. Mutations happen under
 // the engine lock (so per-node sequences stay deterministic), but every
-// field is an atomic so telemetry can snapshot counters mid-step —
-// while parallel delivery workers are driving other nodes — without
-// taking any engine lock.
+// field is an atomic so telemetry can snapshot counters mid-step from
+// another goroutine without taking any engine lock.
 type atomicStats struct {
 	Injected          atomic.Int64
 	PacketsIn         atomic.Int64

@@ -64,8 +64,8 @@ func (f *flightFleet) records() map[tuple.NodeID][]obs.TraceRecord {
 
 // runFlightScenario runs the standard lossy mobile scenario (the
 // TestSameSeedSameUniverse fixture) with full trace sampling and
-// per-node flight recorders, at the given delivery worker count.
-func runFlightScenario(seed int64, workers int) map[tuple.NodeID][]obs.TraceRecord {
+// per-node flight recorders.
+func runFlightScenario(seed int64) map[tuple.NodeID][]obs.TraceRecord {
 	var w *World
 	fleet := newFlightFleet(func() float64 { return float64(w.Sim().Rounds()) })
 	rng := rand.New(rand.NewSource(seed))
@@ -76,7 +76,6 @@ func runFlightScenario(seed int64, workers int) map[tuple.NodeID][]obs.TraceReco
 		Loss:         0.2,
 		RefreshEvery: 5,
 		Seed:         seed,
-		Workers:      workers,
 		NodeOptions: []core.Option{
 			core.WithTracer(fleet.Tracer()),
 			core.WithTraceSampling(1),
@@ -129,38 +128,9 @@ func recordAt(recs []obs.TraceRecord, i int) any {
 	return "<missing>"
 }
 
-// TestFlightDeterministicAcrossWorkers: the per-node flight rings —
-// contents, order, round stamps and span identities — are bit-identical
-// whether the radio delivers serially or on a parallel pool. This is
-// what makes a flight dump from a parallel run diffable against a
-// serial reproduction of the same seed.
-func TestFlightDeterministicAcrossWorkers(t *testing.T) {
-	serial := runFlightScenario(99, 1)
-	var total, sampled int
-	for _, recs := range serial {
-		total += len(recs)
-		for _, r := range recs {
-			if r.Trace != "" {
-				sampled++
-			}
-		}
-	}
-	if total == 0 {
-		t.Fatal("scenario recorded nothing; not a meaningful determinism check")
-	}
-	if sampled == 0 {
-		t.Fatal("no record carries a trace id despite sampling 1")
-	}
-	for _, workers := range []int{4, 8} {
-		got := runFlightScenario(99, workers)
-		diffFlights(t, "workers="+string(rune('0'+workers)), serial, got)
-	}
-}
-
-// runShardedFlightScenario is the sharded-sweep variant: a world above
-// the shard threshold (300 nodes) whose refresh/expiry phases fan out
-// over shard workers.
-func runShardedFlightScenario(seed int64, shards int) map[tuple.NodeID][]obs.TraceRecord {
+// runGridFlightScenario is the large-world variant: a lossy 300-node
+// grid whose expiry sweeps and refresh passes run every few ticks.
+func runGridFlightScenario(seed int64) map[tuple.NodeID][]obs.TraceRecord {
 	var w *World
 	fleet := newFlightFleet(func() float64 { return float64(w.Sim().Rounds()) })
 	g := topology.Grid(20, 15, 1)
@@ -169,8 +139,6 @@ func runShardedFlightScenario(seed int64, shards int) map[tuple.NodeID][]obs.Tra
 		Loss:         0.15,
 		RefreshEvery: 3,
 		Seed:         seed,
-		Workers:      1,
-		Shards:       shards,
 		NodeOptions: []core.Option{
 			core.WithTracer(fleet.Tracer()),
 			core.WithTraceSampling(1),
@@ -186,22 +154,37 @@ func runShardedFlightScenario(seed int64, shards int) map[tuple.NodeID][]obs.Tra
 	return fleet.records()
 }
 
-// TestFlightDeterministicAcrossShards extends the guarantee to the
-// sharded per-node phases on large worlds.
-func TestFlightDeterministicAcrossShards(t *testing.T) {
-	if testing.Short() {
-		t.Skip("300-node world")
-	}
-	serial := runShardedFlightScenario(7, 1)
-	var total int
-	for _, recs := range serial {
+// TestFlightDeterministic: the per-node flight rings — contents, order,
+// round stamps and span identities — are bit-identical across two runs
+// of the same seed. This is what makes a flight dump diffable against a
+// reproduction of the same seed.
+func TestFlightDeterministic(t *testing.T) {
+	first := runFlightScenario(99)
+	var total, sampled int
+	for _, recs := range first {
 		total += len(recs)
+		for _, r := range recs {
+			if r.Trace != "" {
+				sampled++
+			}
+		}
 	}
 	if total == 0 {
-		t.Fatal("scenario recorded nothing")
+		t.Fatal("scenario recorded nothing; not a meaningful determinism check")
 	}
-	got := runShardedFlightScenario(7, 4)
-	diffFlights(t, "shards=4", serial, got)
+	if sampled == 0 {
+		t.Fatal("no record carries a trace id despite sampling 1")
+	}
+	diffFlights(t, "mobile scenario", first, runFlightScenario(99))
+
+	if testing.Short() {
+		return
+	}
+	grid := runGridFlightScenario(7)
+	if len(grid) == 0 {
+		t.Fatal("grid scenario recorded nothing")
+	}
+	diffFlights(t, "grid scenario", grid, runGridFlightScenario(7))
 }
 
 // TestEmulatorThroughputMetrics: RegisterMetrics exposes the tick

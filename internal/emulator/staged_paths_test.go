@@ -1,53 +1,37 @@
 package emulator
 
 import (
-	"fmt"
-	"sync"
 	"testing"
 
 	"tota/internal/agg"
 	"tota/internal/core"
 	"tota/internal/pattern"
 	"tota/internal/topology"
-	"tota/internal/transport"
 	"tota/internal/tuple"
 )
 
-// stagedPathsRun captures everything a staged-send scenario puts on the
-// wire, directly or summarized: final distributed state, the two
-// convergecast answers, the middleware/radio counters and every node's
-// engine-decision trace.
+// stagedPathsRun adds the two convergecast answers to a seededRun (its
+// gradient readings stay zero: the scenario has no gradient).
 type stagedPathsRun struct {
-	fingerprint string
-	sumA, sumB  float64
-	okA, okB    bool
-	nodeStats   core.Stats
-	simStats    transport.Stats
-	traces      map[tuple.NodeID][]string
+	seededRun
+	sumA, sumB float64
+	okA, okB   bool
 }
 
 // runStagedPathsScenario drives the two staged-send paths that live
 // beside the refresh loop — convergecast partials (per-query staged
 // contribution maps) and the corrupt-source quarantine (per-source
-// strike/cooldown maps) — under a given shard/worker combination.
+// strike/cooldown maps).
 // Two queries with different origins overlap, so partial staging,
 // folding and flushing interleave; a corruption window quarantines
 // sources mid-run and the cooldown re-admits them before the end.
-func runStagedPathsScenario(seed int64, shards, workers int) stagedPathsRun {
+func runStagedPathsScenario(seed int64) stagedPathsRun {
 	const side = 6
-	var traceMu sync.Mutex
-	traces := make(map[tuple.NodeID][]string)
-	tracer := func(ev core.TraceEvent) {
-		traceMu.Lock()
-		traces[ev.Node] = append(traces[ev.Node], ev.String())
-		traceMu.Unlock()
-	}
+	tracer, traces := traceLog()
 	w := New(Config{
 		Graph:        topology.Grid(side, side, 1),
 		RefreshEvery: 2,
 		Seed:         seed,
-		Shards:       shards,
-		Workers:      workers,
 		// The E13 resilience trio: quarantine needs suspicion hysteresis
 		// beside it — with immediate withdrawal (SuspicionEpochs=0) the
 		// support-table desync that quarantine drops induce can lock two
@@ -99,32 +83,34 @@ func runStagedPathsScenario(seed int64, shards, workers int) stagedPathsRun {
 		w.Settle(100000)
 	}
 
-	out := stagedPathsRun{fingerprint: fingerprint(w)}
+	out := stagedPathsRun{seededRun: seededRun{
+		fingerprint: fingerprint(w),
+		nodeStats:   w.TotalStats(),
+		simStats:    w.Sim().Stats(),
+		traces:      traces,
+	}}
 	var ra, rb agg.Result
 	ra, out.okA = w.Node(srcA).AggResult(idA)
 	rb, out.okB = w.Node(srcB).AggResult(idB)
 	out.sumA, out.sumB = ra.Value(), rb.Value()
-	out.nodeStats = w.TotalStats()
-	out.simStats = w.Sim().Stats()
-	out.traces = traces
 	return out
 }
 
 // TestStagedSendPathsDeterministic pins the determinism of the two
 // auxiliary staged-send paths: aggregation partials and quarantine
 // cooldown. Their per-node state lives in maps, so any map-order
-// iteration feeding the wire would show up here as a fingerprint or
-// counter mismatch between shard/worker combinations.
+// iteration feeding the wire would show up here as a fingerprint,
+// counter or trace mismatch between two runs of the same seed.
 func TestStagedSendPathsDeterministic(t *testing.T) {
-	serial := runStagedPathsScenario(77, 1, 1)
-	if serial.nodeStats.QuarantineEvents == 0 {
+	first := runStagedPathsScenario(77)
+	if first.nodeStats.QuarantineEvents == 0 {
 		t.Fatal("no source was ever quarantined; cooldown path untested")
 	}
-	if serial.nodeStats.PartialsOut == 0 {
+	if first.nodeStats.PartialsOut == 0 {
 		t.Fatal("no partials sent; aggregation staging untested")
 	}
-	if !serial.okA || !serial.okB {
-		t.Fatalf("missing aggregation results: okA=%v okB=%v", serial.okA, serial.okB)
+	if !first.okA || !first.okB {
+		t.Fatalf("missing aggregation results: okA=%v okB=%v", first.okA, first.okB)
 	}
 	// The oracle values: sum and max of i%7+1 over the 36 readings.
 	wantSum, wantMax := 0.0, 0.0
@@ -135,25 +121,14 @@ func TestStagedSendPathsDeterministic(t *testing.T) {
 			wantMax = v
 		}
 	}
-	if serial.sumA != wantSum || serial.sumB != wantMax {
+	if first.sumA != wantSum || first.sumB != wantMax {
 		t.Errorf("aggregation drifted after quarantine churn: sum=%v (want %v) max=%v (want %v)",
-			serial.sumA, wantSum, serial.sumB, wantMax)
+			first.sumA, wantSum, first.sumB, wantMax)
 	}
-	for _, c := range []struct{ shards, workers int }{{0, 0}, {4, 1}, {2, 4}, {8, 2}} {
-		run := runStagedPathsScenario(77, c.shards, c.workers)
-		label := fmt.Sprintf("shards=%d/workers=%d", c.shards, c.workers)
-		if run.fingerprint != serial.fingerprint {
-			t.Errorf("%s: distributed state fingerprint diverged from serial run", label)
-		}
-		if run.sumA != serial.sumA || run.sumB != serial.sumB || run.okA != serial.okA || run.okB != serial.okB {
-			t.Errorf("%s: aggregation results diverged: got (%v,%v) want (%v,%v)",
-				label, run.sumA, run.sumB, serial.sumA, serial.sumB)
-		}
-		if run.nodeStats != serial.nodeStats {
-			t.Errorf("%s: middleware counters diverged:\n got %+v\nwant %+v", label, run.nodeStats, serial.nodeStats)
-		}
-		if run.simStats != serial.simStats {
-			t.Errorf("%s: radio counters diverged:\n got %+v\nwant %+v", label, run.simStats, serial.simStats)
-		}
+	again := runStagedPathsScenario(77)
+	diffRuns(t, "staged paths", first.seededRun, again.seededRun)
+	if again.sumA != first.sumA || again.sumB != first.sumB || again.okA != first.okA || again.okB != first.okB {
+		t.Errorf("aggregation results diverged: got (%v,%v) want (%v,%v)",
+			again.sumA, again.sumB, first.sumA, first.sumB)
 	}
 }

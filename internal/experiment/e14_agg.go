@@ -23,14 +23,12 @@ var e14ReadingSel = tuple.Selector{Kind: pattern.KindLocal, Name: "reading", Fie
 func e14Reading(i int) float64 { return float64(i%17 + 1) }
 
 // e14World builds a side×side grid, stores one local reading per node
-// and settles. Workers selects the radio's delivery parallelism (the
-// determinism check runs the same scenario at 1 and 4).
-func e14World(side, workers int, opts ...core.Option) *emulator.World {
+// and settles.
+func e14World(side int, opts ...core.Option) *emulator.World {
 	w := emulator.New(emulator.Config{
 		Graph:        topology.Grid(side, side, 1),
 		RefreshEvery: 2,
 		Seed:         1404,
-		Workers:      workers,
 		NodeOptions:  opts,
 	})
 	for i := 0; i < side*side; i++ {
@@ -68,7 +66,7 @@ func e14Run(w *emulator.World, q *agg.Query, epochs int) (agg.Result, bool) {
 // combined partial per node per epoch versus O(n·tuples) forwarded
 // records — (b) exactness of the combined aggregates, (c) convergence
 // back to the exact oracle after a crash plus 30% loss window during an
-// epoch, and (d) bit-identical results across radio worker counts.
+// epoch, and (d) bit-identical results across two same-seed runs.
 func RunE14(scale Scale) *Result {
 	sides := []int{4, 6}
 	if scale == Full {
@@ -91,7 +89,7 @@ func RunE14(scale Scale) *Result {
 		}
 		epochs := 2*side + 4
 		for _, collect := range []bool{false, true} {
-			w := e14World(side, 0)
+			w := e14World(side)
 			if w == nil {
 				continue
 			}
@@ -121,8 +119,8 @@ func RunE14(scale Scale) *Result {
 	// for good — local tuples have no other replica) while the radio
 	// drops 30% of frames; after both windows heal, anti-entropy must
 	// restore the tree and the convergecast must reconverge to the
-	// post-crash oracle exactly. Run identically at 1 and 4 delivery
-	// workers: the results must agree bit-for-bit.
+	// post-crash oracle exactly. Run twice with the same seed: the
+	// results must agree bit-for-bit.
 	side := 6
 	crashed := side + 1 // interior node, not the corner source
 	postOracle := 0.0
@@ -143,8 +141,8 @@ func RunE14(scale Scale) *Result {
 	const maxEpochs = 40
 	bits := make([]uint64, 0, 2)
 	epochCounts := make([]int, 0, 2)
-	for _, workers := range []int{1, 4} {
-		w := e14World(side, workers, opts...)
+	for _, run := range []string{"r1", "r2"} {
+		w := e14World(side, opts...)
 		if w == nil {
 			continue
 		}
@@ -176,10 +174,10 @@ func RunE14(scale Scale) *Result {
 		}
 		bits = append(bits, math.Float64bits(value))
 		epochCounts = append(epochCounts, epochs)
-		tbl.AddRow(fmt.Sprintf("chaos w%d", workers), side*side, epochs, value, converged,
+		tbl.AddRow("chaos "+run, side*side, epochs, value, converged,
 			float64(w.TotalStats().PartialsOut), 0, float64(w.Sim().Stats().Sent))
-		res.Metrics[fmtKey("chaos_converged", fmt.Sprintf("w%d", workers), side*side)] = converged
-		res.Metrics[fmtKey("chaos_epochs", fmt.Sprintf("w%d", workers), side*side)] = float64(epochs)
+		res.Metrics[fmtKey("chaos_converged", run, side*side)] = converged
+		res.Metrics[fmtKey("chaos_epochs", run, side*side)] = float64(epochs)
 	}
 	// Bit-identical means the whole trajectory matched, not just the
 	// limit: same result bits after the same number of repair epochs.

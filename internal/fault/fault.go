@@ -9,7 +9,7 @@
 // is lost, which bytes flip, how much jitter a packet gets) draw from
 // the simulated radio's seeded RNG in its deterministic merge order.
 // A seeded emulation with a fault plan is therefore bit-identical
-// across runs and across delivery worker counts.
+// across runs.
 package fault
 
 import (

@@ -346,7 +346,7 @@ func fingerprint(w *emulator.World) string {
 // runChaosScenario drives a mobile lossy world through the full fault
 // matrix and returns its final fingerprint followed by every node's
 // engine trace in node-id order.
-func runChaosScenario(seed int64, workers int) string {
+func runChaosScenario(seed int64) string {
 	var traceMu sync.Mutex
 	traces := make(map[tuple.NodeID][]string)
 	tracer := func(ev core.TraceEvent) {
@@ -365,7 +365,6 @@ func runChaosScenario(seed int64, workers int) string {
 		Loss:         0.1,
 		RefreshEvery: 3,
 		Seed:         seed,
-		Workers:      workers,
 		NodeOptions:  []core.Option{core.WithTracer(tracer)},
 	})
 	bounds := space.Rect{Max: space.Point{X: 10, Y: 10}}
@@ -396,26 +395,21 @@ func runChaosScenario(seed int64, workers int) string {
 	return b.String()
 }
 
-// TestFaultPlanDeterministicAcrossWorkers extends the emulator's
+// TestFaultPlanDeterministic extends the emulator's
 // same-seed-same-universe guarantee to active fault injection: with
 // loss, corruption, duplication, link faults, delays, a partition, a
-// crash/restart and a pause all firing, the final distributed state and
-// every engine counter are bit-identical whether the radio delivers
-// serially or on a parallel worker pool.
-func TestFaultPlanDeterministicAcrossWorkers(t *testing.T) {
-	serial := runChaosScenario(99, 1)
-	if serial == "no-layout" || serial == "inject-failed" {
-		t.Fatalf("scenario setup failed: %s", serial)
+// crash/restart and a pause all firing, the final distributed state,
+// every engine and radio counter and every node's trace are
+// bit-identical across two runs of the same seed.
+func TestFaultPlanDeterministic(t *testing.T) {
+	first := runChaosScenario(99)
+	if first == "no-layout" || first == "inject-failed" {
+		t.Fatalf("scenario setup failed: %s", first)
 	}
-	if again := runChaosScenario(99, 1); again != serial {
-		t.Fatal("same seed diverged under fault injection (serial)")
+	if again := runChaosScenario(99); again != first {
+		t.Fatal("same seed diverged under fault injection")
 	}
-	for _, workers := range []int{2, 8} {
-		if got := runChaosScenario(99, workers); got != serial {
-			t.Errorf("workers=%d: universe diverged from serial run under fault injection", workers)
-		}
-	}
-	if other := runChaosScenario(100, 1); other == serial {
+	if other := runChaosScenario(100); other == first {
 		t.Error("different seeds produced identical universes (suspicious)")
 	}
 }
@@ -426,7 +420,7 @@ func TestFaultPlanDeterministicAcrossWorkers(t *testing.T) {
 // for an intended behavior change, and say so in the change log.
 func TestChaosGoldenDigest(t *testing.T) {
 	const want = "447035a0d767ef0860191704e5d6a0af87898d2ee78c1f1094b649166e2f6886"
-	sum := sha256.Sum256([]byte(runChaosScenario(99, 0)))
+	sum := sha256.Sum256([]byte(runChaosScenario(99)))
 	if got := hex.EncodeToString(sum[:]); got != want {
 		t.Errorf("digest = %s, want %s", got, want)
 	}

@@ -23,8 +23,7 @@ const DefaultFlightSize = 4096
 //
 // Recording takes a plain mutex. Trace events only fire on state
 // changes — never on the per-packet fast path — and the critical
-// section is a single slot assignment, so contention is negligible
-// even with parallel delivery workers.
+// section is a single slot assignment, so contention is negligible.
 type FlightRecorder struct {
 	clock func() float64
 

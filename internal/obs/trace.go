@@ -213,9 +213,10 @@ const maxTrackedIDs = 4096
 //     result for that query (how long a fresh aggregation query takes
 //     to produce its first answer).
 //
-// All methods are safe for concurrent use from parallel delivery
-// workers; the tracker takes one small mutex per traced event, which is
-// off the packet fast path (events only fire on state changes).
+// All methods are safe for concurrent use (a UDP node dispatches and
+// scrapes on separate goroutines); the tracker takes one small mutex
+// per traced event, which is off the packet fast path (events only
+// fire on state changes).
 type Latencies struct {
 	clock func() float64
 

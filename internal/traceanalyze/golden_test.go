@@ -18,9 +18,9 @@ import (
 var update = flag.Bool("update", false, "regenerate testdata fixtures and goldens")
 
 // generateE2JSONL runs the committed fixture scenario: an E2-style
-// lossless propagation of one gradient over a 3×3 grid, serial radio,
-// full trace sampling, sink clock = radio rounds. Everything is
-// seeded and wall-clock-free, so the stream is bit-stable.
+// lossless propagation of one gradient over a 3×3 grid, full trace
+// sampling, sink clock = radio rounds. Everything is seeded and
+// wall-clock-free, so the stream is bit-stable.
 func generateE2JSONL() string {
 	var out strings.Builder
 	var w *emulator.World
@@ -29,7 +29,6 @@ func generateE2JSONL() string {
 		Graph:        topology.Grid(3, 3, 1),
 		RefreshEvery: 0,
 		Seed:         42,
-		Workers:      1,
 		NodeOptions: []core.Option{
 			core.WithTracer(sink.Tracer()),
 			core.WithTraceSampling(1),
@@ -125,7 +124,6 @@ func TestLossyLinkLocalization(t *testing.T) {
 		Graph:        topology.Grid(4, 4, 1),
 		RefreshEvery: 1,
 		Seed:         7,
-		Workers:      1,
 		NodeOptions: []core.Option{
 			core.WithTracer(sink.Tracer()),
 			core.WithTraceSampling(1),

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -35,10 +34,6 @@ type SimConfig struct {
 	Dup float64
 	// Seed makes loss and shuffle decisions reproducible.
 	Seed int64
-	// Workers bounds the delivery worker pool used by Step. Zero means
-	// GOMAXPROCS; one forces serial delivery. Whatever the value, a
-	// seeded run produces bit-identical results (see Step).
-	Workers int
 	// MaxInbound bounds how many packets may be queued toward one
 	// destination at once. When a send would exceed the bound, the
 	// OLDEST queued packet for that destination is shed (counted in
@@ -65,13 +60,13 @@ type linkDelay struct {
 // Step, which delivers every packet sent at least LatencyRounds steps
 // earlier. Topology edits notify the attached handlers immediately.
 //
-// Determinism: each destination's packets are delivered in send order by
-// a single worker, loss is drawn from a seeded source in a deterministic
-// merge order, and neighbor snapshots are sorted. All methods are safe
-// for concurrent use, but determinism additionally requires the usual
-// emulator discipline: handler callbacks (and their reactions) send only
-// from the node being delivered to, and topology edits happen only from
-// the step-driving goroutine between Step calls.
+// Determinism: due packets are delivered serially in due order, loss is
+// drawn from a seeded source in a deterministic merge order, and
+// neighbor snapshots are sorted. All methods are safe for concurrent
+// use, but determinism additionally requires the usual emulator
+// discipline: handler callbacks (and their reactions) send only from
+// the node being delivered to, and topology edits happen only from the
+// step-driving goroutine between Step calls.
 type Sim struct {
 	cfg SimConfig
 
@@ -86,15 +81,12 @@ type Sim struct {
 	rng        *rand.Rand
 	stats      Stats
 	delivering bool
-	// staging mirrors delivering for caller-managed parallel phases
-	// (see StageSends): while set, sends are staged instead of
-	// committed so the rng is untouched until the deterministic merge.
-	staging bool
 	// staged collects sends produced inside handler callbacks during a
 	// Step's delivery phase, keyed by source node; slice order is the
 	// per-source send sequence. The merge at the end of the step replays
-	// them in (source, seq) order so loss/dup draws and in-flight order
-	// are identical whatever the worker scheduling.
+	// them in (source, seq) order, which fixes the seeded rng's
+	// loss/dup draw order and the in-flight order independently of the
+	// (possibly shuffled) delivery order.
 	staged map[tuple.NodeID][]stagedSend
 
 	// Fault-injection state, mutated only between Steps (same
@@ -340,23 +332,13 @@ func (s *Sim) notify(events []topology.EdgeEvent) {
 	}
 }
 
-// destGroup is one round's packets for a single destination, in send
-// order. Exactly one worker owns a group, so the destination's handler
-// calls stay serialized and ordered.
-type destGroup struct {
-	to      tuple.NodeID
-	h       Handler
-	packets []simPacket
-}
-
 // Step advances simulated time by one round, delivering every due packet
-// to handlers and returning the number delivered. Packets are
-// partitioned by destination: each destination's packets are handled in
-// send order by a single worker, while distinct destinations proceed
-// concurrently on a pool bounded by SimConfig.Workers. Sends produced
-// inside handler callbacks are staged and merged in deterministic
-// (source node, send sequence) order after all workers finish, so a
-// seeded run is bit-identical at any worker count or GOMAXPROCS.
+// to its handler in due order and returning the number delivered. Sends
+// produced inside handler callbacks are staged and merged in
+// deterministic (source node, send sequence) order once delivery ends.
+// The link check is per packet: a handler reaction may not edit the
+// topology mid-step, but earlier rounds' edits must still gate
+// delivery.
 func (s *Sim) Step() int {
 	s.rounds.Add(1)
 	s.mu.Lock()
@@ -397,64 +379,29 @@ func (s *Sim) Step() int {
 		s.mu.Unlock()
 		return 0
 	}
-	workers := s.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	// Resolve handlers once under the lock; packets to unknown nodes
+	// drop immediately.
+	hs := make([]Handler, len(due))
+	for i, p := range due {
+		if hs[i] = s.handlers[p.to]; hs[i] == nil {
+			s.stats.Dropped++
+		}
 	}
+	s.delivering = true
+	s.mu.Unlock()
 
 	var delivered, droppedLinks int64
-	if workers <= 1 {
-		// Serial fast path: deliver in due order without building
-		// destination groups. Per-destination order is the due order
-		// filtered by destination — exactly what the groups preserve —
-		// and each source's staged sends depend only on its own delivery
-		// order, so this is bit-identical to the pooled path.
-		hs := make([]Handler, len(due))
-		dropped := int64(0)
-		for i, p := range due {
-			if hs[i] = s.handlers[p.to]; hs[i] == nil {
-				dropped++
-			}
+	for i, p := range due {
+		h := hs[i]
+		if h == nil {
+			continue
 		}
-		s.stats.Dropped += dropped
-		s.delivering = true
-		s.mu.Unlock()
-		for i, p := range due {
-			h := hs[i]
-			if h == nil {
-				continue
-			}
-			if !s.graph.HasEdge(p.from, p.to) {
-				droppedLinks++
-				continue
-			}
-			h.HandlePacket(p.from, p.data)
-			delivered++
+		if !s.graph.HasEdge(p.from, p.to) {
+			droppedLinks++
+			continue
 		}
-	} else {
-		// Partition by destination (preserving per-destination order) and
-		// resolve handlers once; packets to unknown nodes drop immediately.
-		groups := make([]*destGroup, 0, 16)
-		byDest := make(map[tuple.NodeID]*destGroup, 16)
-		dropped := int64(0)
-		for _, p := range due {
-			g, ok := byDest[p.to]
-			if !ok {
-				h := s.handlers[p.to]
-				if h == nil {
-					dropped++
-					continue
-				}
-				g = &destGroup{to: p.to, h: h}
-				byDest[p.to] = g
-				groups = append(groups, g)
-			}
-			g.packets = append(g.packets, p)
-		}
-		s.stats.Dropped += dropped
-		s.delivering = true
-		s.mu.Unlock()
-		delivered, droppedLinks = s.deliverGroups(groups, workers)
+		h.HandlePacket(p.from, p.data)
+		delivered++
 	}
 
 	s.mu.Lock()
@@ -464,62 +411,6 @@ func (s *Sim) Step() int {
 	s.mergeStagedLocked()
 	s.mu.Unlock()
 	return int(delivered)
-}
-
-// deliverGroups runs the delivery phase over the destination groups,
-// inline when the pool would not help, otherwise on a bounded worker
-// pool. Both paths produce identical results: ordering guarantees come
-// from per-destination ownership plus the staged-send merge, not from
-// scheduling.
-func (s *Sim) deliverGroups(groups []*destGroup, workers int) (delivered, dropped int64) {
-	if workers > len(groups) {
-		workers = len(groups)
-	}
-	if workers <= 1 {
-		for _, g := range groups {
-			d, dr := s.deliverGroup(g)
-			delivered += d
-			dropped += dr
-		}
-		return delivered, dropped
-	}
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var d, dr int64
-			for {
-				i := atomic.AddInt64(&next, 1) - 1
-				if i >= int64(len(groups)) {
-					break
-				}
-				gd, gdr := s.deliverGroup(groups[i])
-				d += gd
-				dr += gdr
-			}
-			atomic.AddInt64(&delivered, d)
-			atomic.AddInt64(&dropped, dr)
-		}()
-	}
-	wg.Wait()
-	return delivered, dropped
-}
-
-// deliverGroup hands one destination's packets to its handler in order.
-// The link check is per-packet: a handler reaction may not edit the
-// topology mid-step, but earlier rounds' edits must still gate delivery.
-func (s *Sim) deliverGroup(g *destGroup) (delivered, dropped int64) {
-	for _, p := range g.packets {
-		if !s.graph.HasEdge(p.from, p.to) {
-			dropped++
-			continue
-		}
-		g.h.HandlePacket(p.from, p.data)
-		delivered++
-	}
-	return delivered, dropped
 }
 
 // mergeStagedLocked replays the sends staged during the delivery phase
@@ -540,29 +431,6 @@ func (s *Sim) mergeStagedLocked() {
 		}
 		delete(s.staged, src)
 	}
-}
-
-// StageSends runs fn with send-staging enabled: every transmission
-// produced while fn executes — typically by node phases running on
-// several shard workers at once — is parked in the staged map instead
-// of drawing from the seeded rng, and is committed afterwards in
-// (source node, send sequence) order by the same deterministic merge
-// Step uses for handler callbacks. Because the merge order is sorted
-// by source id, the committed rng sequence is identical to what a
-// serial sweep of the nodes in id order would have produced — which is
-// exactly why sharded and serial emulator ticks stay bit-identical.
-//
-// fn must not call Step, Detach or other whole-Sim operations; sends
-// (Broadcast/Send) are the only Sim interaction expected inside.
-func (s *Sim) StageSends(fn func()) {
-	s.mu.Lock()
-	s.staging = true
-	s.mu.Unlock()
-	fn()
-	s.mu.Lock()
-	s.staging = false
-	s.mergeStagedLocked()
-	s.mu.Unlock()
 }
 
 // PausedSnapshot returns a copy of the paused node set (nil when no
@@ -629,7 +497,7 @@ func (s *Sim) ResetStats() {
 // send is staged (rng untouched) for the deterministic merge; otherwise
 // it commits immediately.
 func (s *Sim) send(from, to tuple.NodeID, data []byte) {
-	if s.delivering || s.staging {
+	if s.delivering {
 		s.staged[from] = append(s.staged[from], stagedSend{to: to, data: data})
 		return
 	}

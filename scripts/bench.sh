@@ -19,14 +19,31 @@ echo "wrote $txt" >&2
 
 # Cumulative trajectory: every run appends one normalized entry to
 # BENCH_TRAJECTORY.json (a JSON array, one object per run with ns/op,
-# B/op and allocs/op per benchmark, CPU-count suffix stripped), so
-# performance history survives beyond the two most recent runs.
+# B/op and allocs/op per benchmark), so performance history survives
+# beyond the two most recent runs. Each entry carries the environment
+# it ran in — commit, Go version, GOMAXPROCS, nproc and CPU model — so
+# two entries compare like for like. Benchmark names keep go test's -N
+# suffix (a run with -cpu 1,2 reports both), and N is also recorded as
+# the benchmark's "procs" field (1 when go test prints no suffix).
 traj="BENCH_TRAJECTORY.json"
 stamp="$(date +%Y-%m-%dT%H:%M:%S)"
-entry="$(awk -v date="$date" -v stamp="$stamp" '
+commit="$(git rev-parse --verify --quiet HEAD 2>/dev/null || echo unknown)"
+if [ "$commit" != unknown ] && ! git diff --quiet HEAD; then
+	commit="${commit}-dirty"
+fi
+goversion="$(go env GOVERSION)"
+ncpu="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)"
+gomaxprocs="${GOMAXPROCS:-$ncpu}"
+entry="$(awk -v date="$date" -v stamp="$stamp" -v commit="$commit" \
+	-v goversion="$goversion" -v gomaxprocs="$gomaxprocs" -v ncpu="$ncpu" '
+	/^cpu: / && cpu == "" {
+		cpu = substr($0, 6)
+		gsub(/["\\]/, "", cpu)
+	}
 	/^Benchmark/ {
 		name = $1
-		sub(/-[0-9]+$/, "", name)
+		procs = 1
+		if (match(name, /-[0-9]+$/)) procs = substr(name, RSTART + 1)
 		ns = ""; by = ""; al = ""; rss = ""; bpn = ""
 		for (i = 2; i <= NF; i++) {
 			if ($i == "ns/op") ns = $(i - 1)
@@ -36,7 +53,7 @@ entry="$(awk -v date="$date" -v stamp="$stamp" '
 			if ($i == "bytes_per_node") bpn = $(i - 1)
 		}
 		if (ns == "") next
-		b = sprintf("\"%s\":{\"ns_op\":%s", name, ns)
+		b = sprintf("\"%s\":{\"procs\":%s,\"ns_op\":%s", name, procs, ns)
 		if (by != "") b = b ",\"bytes_op\":" by
 		if (al != "") b = b ",\"allocs_op\":" al
 		if (rss != "") b = b ",\"peak_rss_bytes\":" rss
@@ -45,7 +62,8 @@ entry="$(awk -v date="$date" -v stamp="$stamp" '
 		benches = benches (benches == "" ? "" : ",") b
 	}
 	END {
-		printf "{\"date\":\"%s\",\"stamp\":\"%s\",\"benchmarks\":{%s}}", date, stamp, benches
+		printf "{\"date\":\"%s\",\"stamp\":\"%s\",\"commit\":\"%s\",\"go\":\"%s\",", date, stamp, commit, goversion
+		printf "\"gomaxprocs\":%s,\"nproc\":%s,\"cpu\":\"%s\",\"benchmarks\":{%s}}", gomaxprocs, ncpu, cpu, benches
 	}' "$txt")"
 if [ -s "$traj" ]; then
 	# Drop the closing bracket, append the new entry, close the array.
@@ -72,8 +90,8 @@ grep 'BenchmarkHandlePacket' "$txt" >&2 || true
 grep 'BenchmarkRefreshSteadyState' "$txt" >&2 || true
 
 # Headline scale cost: grid-indexed recompute vs the O(n²) reference and
-# the sharded refresh cycle (see DESIGN.md §11).
-grep 'BenchmarkRecompute10k\|BenchmarkSettleSharded\|BenchmarkE15Scale' "$txt" >&2 || true
+# the 2.5k-node refresh epoch (see DESIGN.md §11).
+grep 'BenchmarkRecompute10k\|BenchmarkRefreshEpoch2500\|BenchmarkE15Scale' "$txt" >&2 || true
 
 # Headline footprint: the E16 benchmarks report peak_rss_bytes and
 # bytes_per_node, which the trajectory entry records so the memory

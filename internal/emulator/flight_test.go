@@ -1,6 +1,7 @@
 package emulator
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -154,11 +155,12 @@ func runGridFlightScenario(seed int64) map[tuple.NodeID][]obs.TraceRecord {
 	return fleet.records()
 }
 
-// TestFlightDeterministic: the per-node flight rings — contents, order,
-// round stamps and span identities — are bit-identical across two runs
-// of the same seed. This is what makes a flight dump diffable against a
-// reproduction of the same seed.
-func TestFlightDeterministic(t *testing.T) {
+// TestFlightDeterministicAcrossWorkers: the per-node flight rings —
+// contents, order, round stamps and span identities — are bit-identical
+// across runs of the same seed, including runs of independent worlds
+// on 4 or 8 parallel worker goroutines. This is what makes a flight
+// dump diffable against a reproduction of the same seed.
+func TestFlightDeterministicAcrossWorkers(t *testing.T) {
 	first := runFlightScenario(99)
 	var total, sampled int
 	for _, recs := range first {
@@ -175,13 +177,28 @@ func TestFlightDeterministic(t *testing.T) {
 	if sampled == 0 {
 		t.Fatal("no record carries a trace id despite sampling 1")
 	}
-	diffFlights(t, "mobile scenario", first, runFlightScenario(99))
+	diffFlights(t, "same seed twice", first, runFlightScenario(99))
+	for _, n := range []int{4, 8} {
+		runs := runConcurrently(n, func() map[tuple.NodeID][]obs.TraceRecord { return runFlightScenario(99) })
+		for i, got := range runs {
+			diffFlights(t, fmt.Sprintf("%d parallel worlds, world %d", n, i), first, got)
+		}
+	}
+}
 
+// TestFlightDeterministicAcrossShards is the large-world variant: the
+// 300-node grid's expiry sweeps and refresh passes leave identical
+// flight rings in two runs of the same seed.
+func TestFlightDeterministicAcrossShards(t *testing.T) {
 	if testing.Short() {
-		return
+		t.Skip("300-node world")
 	}
 	grid := runGridFlightScenario(7)
-	if len(grid) == 0 {
+	var total int
+	for _, recs := range grid {
+		total += len(recs)
+	}
+	if total == 0 {
 		t.Fatal("grid scenario recorded nothing")
 	}
 	diffFlights(t, "grid scenario", grid, runGridFlightScenario(7))

@@ -1,8 +1,10 @@
 package emulator
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -169,20 +171,73 @@ func runLeaseScenario(seed int64) seededRun {
 	}
 }
 
-// TestSteppingIsDeterministic is the same-seed guarantee for both
-// scenarios: identical distributed state, middleware and radio
-// counters, gradient readings and per-node traces, with loss,
-// mobility, refresh, retraction and lease expiry all active. The
-// golden digests then tie the runs to the recorded outputs.
-func TestSteppingIsDeterministic(t *testing.T) {
-	retract, lease := runRetractScenario(99), runLeaseScenario(42)
-	if retract.simStats.Delivered == 0 || lease.simStats.Delivered == 0 {
+// runConcurrently runs n independent copies of run at once, one per
+// goroutine, and returns their results in order.
+func runConcurrently[T any](n int, run func() T) []T {
+	out := make([]T, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			out[i] = run()
+		}(i)
+	}
+	wg.Wait()
+	return out
+}
+
+// TestParallelSteppingIsDeterministic is the same-seed guarantee for the
+// retract scenario (loss, mobility, refresh and retraction all active):
+// identical distributed state, middleware and radio counters, gradient
+// readings and per-node traces run after run, under GOMAXPROCS=1 and 8,
+// and when 2 or 8 independent worlds step it in parallel goroutines.
+// TestGoldenDigests then ties the runs to the recorded outputs.
+func TestParallelSteppingIsDeterministic(t *testing.T) {
+	base := runRetractScenario(99)
+	if base.simStats.Delivered == 0 {
 		t.Fatal("scenario delivered nothing; not a meaningful determinism check")
 	}
-	if lease.nodeStats.TTLDropped == 0 && lease.nodeStats.MaintDrop == 0 {
+	diffRuns(t, "same seed twice", base, runRetractScenario(99))
+	for _, n := range []int{2, 8} {
+		for i, run := range runConcurrently(n, func() seededRun { return runRetractScenario(99) }) {
+			diffRuns(t, fmt.Sprintf("%d parallel worlds, world %d", n, i), base, run)
+		}
+	}
+
+	prev := runtime.GOMAXPROCS(1)
+	one := runRetractScenario(99)
+	runtime.GOMAXPROCS(8)
+	eight := runRetractScenario(99)
+	runtime.GOMAXPROCS(prev)
+	diffRuns(t, "GOMAXPROCS=1 vs GOMAXPROCS=8", one, eight)
+	diffRuns(t, "serial vs GOMAXPROCS=8", base, eight)
+}
+
+// TestShardedSteppingIsDeterministic is the same-seed guarantee for the
+// 300-node lease scenario, a world large enough that its refresh and
+// expiry sweeps once ran over region shards: the expiry sweep must
+// withdraw copies while refresh traffic is in flight, and two runs must
+// agree bit for bit.
+func TestShardedSteppingIsDeterministic(t *testing.T) {
+	base := runLeaseScenario(42)
+	if base.simStats.Delivered == 0 {
+		t.Fatal("scenario delivered nothing; not a meaningful determinism check")
+	}
+	if base.nodeStats.TTLDropped == 0 && base.nodeStats.MaintDrop == 0 {
 		t.Fatal("lease never expired; sweep phase untested")
 	}
-	retractAgain, leaseAgain := runRetractScenario(99), runLeaseScenario(42)
-	diffRuns(t, "retract scenario", retract, retractAgain)
-	diffRuns(t, "lease scenario", lease, leaseAgain)
+	diffRuns(t, "same seed twice", base, runLeaseScenario(42))
+}
+
+// TestShardedSteppingAcrossGOMAXPROCS re-runs the lease scenario under
+// GOMAXPROCS=1 and GOMAXPROCS=8 — the cross-machine reproducibility
+// claim: nothing in a tick depends on the CPU count.
+func TestShardedSteppingAcrossGOMAXPROCS(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	one := runLeaseScenario(42)
+	runtime.GOMAXPROCS(8)
+	eight := runLeaseScenario(42)
+	runtime.GOMAXPROCS(prev)
+	diffRuns(t, "GOMAXPROCS=1 vs GOMAXPROCS=8", one, eight)
 }

@@ -79,32 +79,65 @@ func runForwardingStorm() (Stats, map[tuple.NodeID][]string) {
 	return s.Stats(), logs
 }
 
-// TestStepDeterministic is the staged-merge guarantee: with loss,
-// duplication, shuffling and handler re-broadcasts all active, two runs
-// of the same seed yield bit-identical counters and per-node receive
-// sequences.
-func TestStepDeterministic(t *testing.T) {
-	baseStats, baseLogs := runForwardingStorm()
-	if baseStats.Delivered == 0 || baseStats.Dropped == 0 {
-		t.Fatalf("storm too quiet to be a meaningful test: %+v", baseStats)
-	}
-	stats, logs := runForwardingStorm()
+// diffStorm reports where a storm run diverges from the baseline.
+func diffStorm(t *testing.T, label string, baseStats, stats Stats, baseLogs, logs map[tuple.NodeID][]string) {
+	t.Helper()
 	if stats != baseStats {
-		t.Errorf("stats diverged: %+v vs %+v", baseStats, stats)
+		t.Errorf("%s: stats diverged: %+v vs %+v", label, baseStats, stats)
 	}
 	for id, want := range baseLogs {
 		got := logs[id]
 		if len(got) != len(want) {
-			t.Errorf("node %s received %d packets, want %d", id, len(got), len(want))
+			t.Errorf("%s: node %s received %d packets, want %d", label, id, len(got), len(want))
 			continue
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Errorf("node %s packet %d = %s, want %s", id, i, got[i], want[i])
+				t.Errorf("%s: node %s packet %d = %s, want %s", label, id, i, got[i], want[i])
 				break
 			}
 		}
 	}
+}
+
+// TestStepDeterministicAcrossWorkerCounts is the staged-merge guarantee:
+// with loss, duplication, shuffling and handler re-broadcasts all
+// active, a seeded storm is bit-identical run after run — including
+// when 1, 2, 4 or 8 independent Sims run it at once, one per worker
+// goroutine, so no Sim shares mutable state with another.
+func TestStepDeterministicAcrossWorkerCounts(t *testing.T) {
+	baseStats, baseLogs := runForwardingStorm()
+	if baseStats.Delivered == 0 || baseStats.Dropped == 0 {
+		t.Fatalf("storm too quiet to be a meaningful test: %+v", baseStats)
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		stats := make([]Stats, workers)
+		logs := make([]map[tuple.NodeID][]string, workers)
+		var wg sync.WaitGroup
+		for i := 0; i < workers; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				stats[i], logs[i] = runForwardingStorm()
+			}(i)
+		}
+		wg.Wait()
+		for i := range stats {
+			diffStorm(t, fmt.Sprintf("workers=%d run %d", workers, i), baseStats, stats[i], baseLogs, logs[i])
+		}
+	}
+}
+
+// TestStepDeterministicAcrossGOMAXPROCS re-runs the storm under
+// GOMAXPROCS=1 and GOMAXPROCS=8: delivery is serial, so the counters and
+// per-node receive sequences must not depend on the CPU count.
+func TestStepDeterministicAcrossGOMAXPROCS(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	oneStats, oneLogs := runForwardingStorm()
+	runtime.GOMAXPROCS(8)
+	eightStats, eightLogs := runForwardingStorm()
+	runtime.GOMAXPROCS(prev)
+	diffStorm(t, "GOMAXPROCS=1 vs 8", oneStats, eightStats, oneLogs, eightLogs)
 }
 
 // TestSimConcurrentAttachStepSend hammers the Sim from many goroutines

@@ -488,7 +488,9 @@ func TestHandlePacketTelemetryAllocs(t *testing.T) {
 		})
 	}
 	base := measure(nil)
-	if base != 7 {
+	// The exact count holds only without -race (see raceEnabled); the
+	// relative budgets below run in both builds.
+	if !raceEnabled && base != 7 {
 		t.Errorf("uninstrumented HandlePacket = %.1f allocs/op, want 7", base)
 	}
 	lat := obs.NewLatencies(nil, nil, obs.RoundBuckets)

@@ -1,10 +1,12 @@
 package gateway
 
 import (
+	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"tota/internal/retry"
@@ -18,6 +20,15 @@ var (
 	ErrDisconnected = errors.New("gateway: not connected")
 )
 
+const (
+	// dialTimeout bounds one connection attempt.
+	dialTimeout = 3 * time.Second
+	// reconnectMax caps the backoff between reconnection attempts.
+	// Reconnection retries forever while the client is open —
+	// transparent resubscribe-with-replay is the whole point.
+	reconnectMax = 2 * time.Second
+)
+
 // ClientConfig tunes a Client; zero values select defaults.
 type ClientConfig struct {
 	// Policy is the request retry/backoff budget (shared machinery
@@ -25,20 +36,11 @@ type ClientConfig struct {
 	Policy *retry.Policy
 	// RequestTimeout bounds one RPC round trip (default 5s).
 	RequestTimeout time.Duration
-	// DialTimeout bounds one connection attempt (default 3s).
-	DialTimeout time.Duration
-	// ReconnectMax caps the backoff between reconnection attempts
-	// (default 2s). Reconnection retries forever while the client is
-	// open — transparent resubscribe-with-replay is the whole point.
-	ReconnectMax time.Duration
 	// EventBuffer is each subscription's delivery channel depth
 	// (default 1024). A consumer that stops draining eventually
 	// backpressures the socket, which surfaces at the gateway as
 	// accounted slow-consumer drops.
 	EventBuffer int
-	// Registry decodes event and read tuples; defaults to
-	// tuple.DefaultRegistry.
-	Registry *tuple.Registry
 }
 
 // SubEvent is one delivery on a subscription channel.
@@ -84,143 +86,167 @@ type SubEvent struct {
 // replay-from-seq and dedups redelivered events, so Events sees every
 // event at least once, in order, per epoch.
 type Subscription struct {
-	c   *Client
-	tpl tuple.Template
 	// Events delivers matching engine events; closed by Unsubscribe
 	// and Client.Close.
 	Events chan SubEvent
 
-	// sendMu serializes every send on Events with its close: a send can
-	// only happen with sendMu held and the closed flag unset, and shut
-	// closes Events under sendMu, so a delivery can never race
-	// Unsubscribe into a send on a closed channel. done aborts a send
-	// blocked on a full Events channel so shut cannot deadlock behind a
-	// consumer that stopped draining.
-	sendMu sync.Mutex
-	done   chan struct{}
+	tpl json.RawMessage // the template, sent on every (re)subscribe
 
-	// estMu serializes establishment RPCs for this handle: Subscribe's
-	// retry loop and the connection manager's resubscribe sweep can
-	// race after a dial, and without serialization the loser installs a
-	// duplicate server-side subscription the client then orphans
-	// (doubling event traffic and inflating the subscriptions gauge).
-	estMu sync.Mutex
+	// stopped and abort are what Unsubscribe touches directly: closing
+	// abort ends a loop send blocked on a full Events channel, so the
+	// detach message behind it can reach the loop.
+	stopped atomic.Bool
+	abort   chan struct{}
 
-	mu       sync.Mutex
-	serverID uint64 // id on the current connection, 0 when detached
-	epoch    string
-	lastSeq  uint64
-	lastDSeq uint64
-	// drops tracks the current server-side attachment's cumulative drop
-	// counter (it restarts at zero on every resubscribe); dropsBase
-	// accumulates the drops observed on previous attachments so Drops()
-	// and SubEvent.Drops stay monotonic over the handle's lifetime.
-	drops     uint64
-	dropsBase uint64
-	closed    bool
-	gapErrors int
-	// needResync is set by the read loop when a subscribe ack revealed
-	// an epoch change or replay miss; resubscribe consumes it to emit
-	// the Resync marker from its own goroutine.
-	needResync bool
-}
+	// gaps and drops are the tracker's counts for the getters; only the
+	// loop stores them (publish).
+	gaps  atomic.Int64
+	drops atomic.Uint64
 
-// LastSeq returns the newest gateway sequence the subscription has
-// seen in its current epoch.
-func (s *Subscription) LastSeq() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastSeq
+	// Owned by the client loop.
+	tr       tracker
+	serverID uint64        // id on the current connection, 0 while detached
+	waiter   chan Response // the Subscribe call waiting for the next ack
 }
 
 // Drops returns the cumulative slow-consumer drops over the
 // subscription's lifetime, across reconnects.
-func (s *Subscription) Drops() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropsBase + s.drops
-}
-
-// deliver sends ev to the consumer unless the subscription is (or
-// becomes) closed. See sendMu for why this can neither panic on a
-// closed channel nor deadlock a concurrent Unsubscribe.
-func (s *Subscription) deliver(ev SubEvent, closec <-chan struct{}) {
-	s.sendMu.Lock()
-	defer s.sendMu.Unlock()
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
-		return
-	}
-	select {
-	case s.Events <- ev:
-	case <-s.done:
-	case <-closec:
-	}
-}
-
-// shut marks the subscription closed and closes Events exactly once;
-// false means it was already closed. Closing done first aborts any
-// delivery blocked on a full channel, then taking sendMu waits out any
-// in-flight send before the channel closes.
-func (s *Subscription) shut() bool {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return false
-	}
-	s.closed = true
-	close(s.done)
-	s.mu.Unlock()
-	s.sendMu.Lock()
-	close(s.Events)
-	s.sendMu.Unlock()
-	return true
-}
+func (s *Subscription) Drops() uint64 { return s.drops.Load() }
 
 // GapViolations counts events whose delivery-sequence gap was NOT
 // covered by the gateway's drop accounting — zero on a healthy run;
 // non-zero means the no-silent-gaps contract broke. The check runs in
 // the per-subscription delivery sequence (DSeq), so it is meaningful
 // for filtered templates too.
-func (s *Subscription) GapViolations() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.gapErrors
+func (s *Subscription) GapViolations() int { return int(s.gaps.Load()) }
+
+// publish stores the tracker's counts for the getters.
+func (s *Subscription) publish() {
+	s.gaps.Store(int64(s.tr.gapErrors))
+	s.drops.Store(s.tr.dropsBase + s.tr.drops)
+}
+
+// wake answers the Subscribe call waiting on s, if any.
+func (s *Subscription) wake(resp Response) {
+	if s.waiter != nil {
+		s.waiter <- resp
+		s.waiter = nil
+	}
+}
+
+// tracker is one handle's sequence state across server-side
+// attachments.
+type tracker struct {
+	epoch    string
+	lastSeq  uint64 // newest gseq delivered in epoch
+	lastDSeq uint64 // newest dseq on the current attachment
+	// drops is the current attachment's cumulative drop counter (it
+	// restarts at zero on every resubscribe); dropsBase accumulates the
+	// drops of previous attachments so the handle's count stays
+	// monotonic over its lifetime.
+	drops     uint64
+	dropsBase uint64
+	gapErrors int
+}
+
+// attach applies a subscribe ack and reports whether a Resync marker
+// is due. Every ack is a fresh server-side attachment whose delivery
+// sequence and drop counter restart at zero, regardless of epoch or
+// replay outcome, so the per-attachment trackers reset too; otherwise
+// a stale counter would flag the next legitimate drop-covered gap as a
+// violation. An epoch change or replay miss also resets the global
+// sequence, so the new epoch's replay passes dedup.
+func (t *tracker) attach(epoch, replay string) (resync bool) {
+	resync = (t.epoch != "" && t.epoch != epoch) || replay == ReplayMiss
+	if resync {
+		t.lastSeq = 0
+	}
+	t.dropsBase += t.drops
+	t.drops = 0
+	t.lastDSeq = 0
+	t.epoch = epoch
+	return resync
+}
+
+// observe runs the gap and drop checks for one event and reports
+// whether it is new. Gap verification runs in the per-subscription
+// delivery sequence (DSeq): a filtered subscription legitimately skips
+// global sequence numbers held by non-matching events, but a DSeq gap
+// means matched events went missing, which only accounted drops may
+// explain. A redelivery (replay overlapping live fan-out) still
+// advances the trackers before dedup discards it.
+func (t *tracker) observe(ev *Event) (fresh bool) {
+	if ev.DSeq > t.lastDSeq {
+		if gap := ev.DSeq - t.lastDSeq - 1; gap > 0 && ev.Drops < t.drops+gap {
+			t.gapErrors++
+		}
+		t.lastDSeq = ev.DSeq
+	}
+	if ev.Drops > t.drops {
+		t.drops = ev.Drops
+	}
+	if ev.GSeq <= t.lastSeq {
+		return false
+	}
+	t.lastSeq = ev.GSeq
+	return true
 }
 
 // Client is the resilient gateway RPC client: request timeouts,
 // bounded retries with seeded-jitter exponential backoff (shared with
 // the testnet poller via internal/retry), and transparent
 // resubscribe-with-replay across reconnects.
+//
+// One loop goroutine (run) owns all of the client's state; the public
+// methods are messages to it. A reader goroutine per connection only
+// decodes frames and hands them over unbuffered, so the loop handles
+// frames in wire order and a loop blocked on a slow consumer stops
+// reading the socket.
 type Client struct {
-	addr string
-	cfg  ClientConfig
+	addr   string
+	cfg    ClientConfig
+	calls  chan call
+	ctx    context.Context // done once Close starts
+	cancel context.CancelFunc
+	done   chan struct{} // closed when the loop has exited
 
-	mu      sync.Mutex
-	nc      net.Conn // current connection, nil while down
-	pending map[uint64]chan Response
-	// subFor maps an in-flight subscribe request seq to its
-	// subscription, so the read loop can apply the ack (server sub id,
-	// epoch, sequence reset) BEFORE it dispatches the replay events the
-	// gateway writes immediately after the ack. Applying the ack from
-	// the resubscribe goroutine instead would race those events into
-	// dispatchEvent with no registered server id, silently dropping the
-	// replay.
-	subFor  map[uint64]*Subscription
-	reqSeq  uint64
-	subs    []*Subscription
-	closed  bool
-
-	closec  chan struct{}
-	kick    chan struct{} // nudges the manager to reconnect now
-	managerDone chan struct{}
+	// Owned by the loop.
+	link   *link // current connection, nil while down
+	reqSeq uint64
+	subs   map[*Subscription]struct{} // registered handles
 }
 
-// Dial creates a client for the gateway at addr and starts its
-// connection manager. It returns immediately; the first RPC blocks
-// until a connection exists or its retry budget is spent.
+// link is one live connection. Server subscription ids and pending
+// requests mean nothing beyond it.
+type link struct {
+	nc      net.Conn
+	frames  chan Frame
+	pending map[uint64]call
+	bySub   map[uint64]*Subscription // server sub id → handle
+	// toSub holds the handles still to subscribe on this connection.
+	// One subscribe RPC is in flight at a time (subBusy), as when each
+	// caller waits for its ack: the gateway closes a connection whose
+	// queue cannot take an ack, so a reconnect must not pour every
+	// handle's ack and replay into that queue at once.
+	toSub   []*Subscription
+	subBusy bool
+}
+
+// call is one message to the loop: a plain RPC, or (sub set) an
+// attach (OpSubscribe) or detach (OpUnsubscribe) of a handle. Once
+// written, a request waits in link.pending as a call too, with sub set
+// only on subscribe RPCs. reply gets the response, or is closed on a
+// transport failure, which is retryable; only a gateway verdict is
+// permanent.
+type call struct {
+	req   Request
+	sub   *Subscription
+	reply chan Response
+}
+
+// Dial creates a client for the gateway at addr and starts its loop.
+// It returns immediately; the first RPC blocks until a connection
+// exists or its retry budget is spent.
 func Dial(addr string, cfg ClientConfig) *Client {
 	if cfg.Policy == nil {
 		cfg.Policy = retry.New(1)
@@ -228,403 +254,328 @@ func Dial(addr string, cfg ClientConfig) *Client {
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 5 * time.Second
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 3 * time.Second
-	}
-	if cfg.ReconnectMax <= 0 {
-		cfg.ReconnectMax = 2 * time.Second
-	}
 	if cfg.EventBuffer <= 0 {
 		cfg.EventBuffer = 1024
 	}
-	if cfg.Registry == nil {
-		cfg.Registry = tuple.DefaultRegistry
-	}
+	ctx, cancel := context.WithCancel(context.Background())
 	c := &Client{
-		addr:        addr,
-		cfg:         cfg,
-		pending:     make(map[uint64]chan Response),
-		subFor:      make(map[uint64]*Subscription),
-		closec:      make(chan struct{}),
-		kick:        make(chan struct{}, 1),
-		managerDone: make(chan struct{}),
+		addr:   addr,
+		cfg:    cfg,
+		calls:  make(chan call),
+		ctx:    ctx,
+		cancel: cancel,
+		done:   make(chan struct{}),
+		subs:   make(map[*Subscription]struct{}),
 	}
-	go c.manage()
+	go c.run()
 	return c
 }
 
 // Close shuts the client down: the connection drops, pending requests
 // fail, and every subscription channel closes.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	nc := c.nc
-	c.nc = nil
-	subs := c.subs
-	c.subs = nil
-	c.mu.Unlock()
-	close(c.closec)
-	if nc != nil {
-		_ = nc.Close()
-	}
-	<-c.managerDone
-	c.failPending()
-	for _, s := range subs {
-		s.shut()
-	}
+	c.cancel()
+	<-c.done
 	return nil
 }
 
-// manage owns the connection lifecycle: dial with capped backoff,
-// resubscribe every registered subscription with replay-from-seq, run
-// the read loop until the connection dies, repeat.
-func (c *Client) manage() {
-	defer close(c.managerDone)
+// run is the loop: dial with capped backoff, resubscribe every
+// registered handle with replay-from-seq, serve calls and frames until
+// the connection dies, repeat.
+func (c *Client) run() {
+	defer close(c.done)
+	var redial <-chan time.Time
 	attempt := 0
 	for {
-		select {
-		case <-c.closec:
-			return
-		default:
-		}
-		nc, err := net.DialTimeout("tcp", c.addr, c.cfg.DialTimeout)
-		if err != nil {
-			attempt++
-			select {
-			case <-time.After(c.reconnectBackoff(attempt)):
-			case <-c.closec:
-				return
-			}
-			continue
-		}
-		attempt = 0
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			_ = nc.Close()
-			return
-		}
-		c.nc = nc
-		subs := append([]*Subscription(nil), c.subs...)
-		c.mu.Unlock()
-
-		// The read loop must run before resubscribe RPCs can see their
-		// responses.
-		readDone := make(chan struct{})
-		go func() {
-			defer close(readDone)
-			c.readLoop(nc)
-		}()
-		for _, s := range subs {
-			if err := c.resubscribe(s); err != nil {
-				break // connection died mid-resubscribe; redial
+		if c.link == nil && redial == nil {
+			if err := c.connect(); err != nil {
+				attempt++
+				redial = time.After(min(c.cfg.Policy.Backoff(attempt), reconnectMax))
+			} else {
+				attempt = 0
 			}
 		}
+		var frames chan Frame
+		if c.link != nil {
+			frames = c.link.frames
+		}
 		select {
-		case <-readDone:
-		case <-c.closec:
-			_ = nc.Close()
-			<-readDone
+		case <-c.ctx.Done():
+			c.drop()
+			for s := range c.subs {
+				close(s.Events)
+			}
 			return
+		case cl := <-c.calls:
+			switch {
+			case cl.sub == nil:
+				c.send(cl)
+			case cl.req.Op == OpSubscribe:
+				c.attach(cl.sub, cl.reply)
+			default:
+				c.detach(cl.sub, cl.reply)
+			}
+		case fr, ok := <-frames:
+			switch {
+			case !ok:
+				c.drop()
+			case fr.Resp != nil:
+				c.onResponse(*fr.Resp)
+			case fr.Event != nil:
+				c.onEvent(fr.Event)
+			}
+		case <-redial:
+			redial = nil
 		}
-		c.mu.Lock()
-		if c.nc == nc {
-			c.nc = nil
-		}
-		c.mu.Unlock()
-		c.failPending()
-		c.detachSubs()
 	}
 }
 
-// reconnectBackoff doubles from the policy base to ReconnectMax with
-// the policy's seeded jitter.
-func (c *Client) reconnectBackoff(attempt int) time.Duration {
-	d := c.cfg.Policy.Backoff(attempt)
-	if d > c.cfg.ReconnectMax {
-		d = c.cfg.ReconnectMax
+func (c *Client) connect() error {
+	d := net.Dialer{Timeout: dialTimeout}
+	nc, err := d.DialContext(c.ctx, "tcp", c.addr)
+	if err != nil {
+		return err
 	}
-	return d
+	l := &link{
+		nc:      nc,
+		frames:  make(chan Frame),
+		pending: make(map[uint64]call),
+		bySub:   make(map[uint64]*Subscription),
+	}
+	for s := range c.subs {
+		l.toSub = append(l.toSub, s)
+	}
+	go readFrames(nc, l.frames)
+	c.link = l
+	c.subscribeNext()
+	return nil
 }
 
-// readLoop demuxes gateway frames: responses to pending RPCs, events
-// to their subscriptions.
-func (c *Client) readLoop(nc net.Conn) {
+// readFrames decodes frames until the connection fails, then closes
+// frames. Only the loop stops it, by closing nc and draining frames.
+func readFrames(nc net.Conn, frames chan<- Frame) {
+	defer close(frames)
 	for {
 		var fr Frame
 		if err := ReadFrame(nc, &fr); err != nil {
-			_ = nc.Close()
 			return
 		}
-		switch {
-		case fr.Resp != nil:
-			c.mu.Lock()
-			ch := c.pending[fr.Resp.Seq]
-			delete(c.pending, fr.Resp.Seq)
-			sub := c.subFor[fr.Resp.Seq]
-			delete(c.subFor, fr.Resp.Seq)
-			c.mu.Unlock()
-			if sub != nil && fr.Resp.Err == "" {
-				// Subscribe ack: register the server id and sequence
-				// state here, in the same goroutine that dispatches
-				// events, so the replay frames right behind this ack
-				// route to the subscription instead of vanishing.
-				c.applySubscribeAck(sub, *fr.Resp)
-			}
-			if ch != nil {
-				ch <- *fr.Resp
-			}
-		case fr.Event != nil:
-			c.dispatchEvent(*fr.Event)
+		frames <- fr
+	}
+}
+
+// drop abandons the current connection: it closes the socket, waits
+// for the reader to exit, fails every request and Subscribe call in
+// flight and detaches every handle.
+func (c *Client) drop() {
+	l := c.link
+	if l == nil {
+		return
+	}
+	c.link = nil
+	_ = l.nc.Close()
+	for range l.frames {
+	}
+	for _, p := range l.pending {
+		if p.reply != nil {
+			close(p.reply)
+		}
+	}
+	for s := range c.subs {
+		s.serverID = 0
+		if s.waiter != nil {
+			close(s.waiter)
+			s.waiter = nil
 		}
 	}
 }
 
-// dispatchEvent routes one event frame to its subscription, dedups by
-// sequence, verifies gap accounting and delivers to the consumer.
-func (c *Client) dispatchEvent(ev Event) {
-	c.mu.Lock()
-	var target *Subscription
-	for _, s := range c.subs {
-		s.mu.Lock()
-		match := s.serverID == ev.Sub && s.serverID != 0
-		s.mu.Unlock()
-		if match {
-			target = s
-			break
+// send writes p's request on the current connection and records p to
+// receive its response.
+func (c *Client) send(p call) {
+	l := c.link
+	if l == nil {
+		if p.reply != nil {
+			close(p.reply)
 		}
-	}
-	c.mu.Unlock()
-	if target == nil {
 		return
 	}
-	target.mu.Lock()
-	// Gap verification runs in the per-subscription delivery sequence
-	// (DSeq), which counts only events matching this subscription's
-	// template: a filtered subscription legitimately skips global
-	// sequence numbers held by non-matching events, but a DSeq gap
-	// means matched events went missing, which only accounted drops may
-	// explain. Both trackers reset on every subscribe ack (fresh
-	// server-side attachment, fresh counter spaces), so the check is
-	// valid from the first delivery.
-	if ev.DSeq > target.lastDSeq {
-		if gap := ev.DSeq - target.lastDSeq - 1; gap > 0 {
-			if ev.Drops < target.drops+gap {
-				target.gapErrors++
-			}
-		}
-		target.lastDSeq = ev.DSeq
-	}
-	if ev.Drops > target.drops {
-		target.drops = ev.Drops
-	}
-	cumDrops := target.dropsBase + target.drops
-	if ev.GSeq <= target.lastSeq {
-		// Redelivered (replay overlapping live fan-out): dedup, but
-		// only after the sequence/drop trackers above advanced past it.
-		target.mu.Unlock()
+	c.reqSeq++
+	p.req.Seq = c.reqSeq
+	l.pending[p.req.Seq] = p
+	buf, err := EncodeFrame(p.req)
+	if err != nil {
+		// Answered as the gateway answers a request it cannot serve.
+		c.onResponse(Response{Seq: p.req.Seq, Err: err.Error()})
 		return
 	}
-	target.lastSeq = ev.GSeq
-	epoch := target.epoch
-	target.mu.Unlock()
+	_ = l.nc.SetWriteDeadline(time.Now().Add(c.cfg.RequestTimeout))
+	if _, err := l.nc.Write(buf); err != nil {
+		c.drop()
+	}
+}
+
+// attach registers s on first sight and answers r once s is attached
+// on the current connection.
+func (c *Client) attach(s *Subscription, r chan Response) {
+	if _, ok := c.subs[s]; !ok {
+		c.subs[s] = struct{}{}
+		if c.link != nil {
+			c.link.toSub = append(c.link.toSub, s)
+			c.subscribeNext()
+		}
+	}
+	switch {
+	case s.serverID != 0:
+		r <- Response{OK: true}
+	case c.link == nil:
+		close(r)
+	default:
+		s.waiter = r
+	}
+}
+
+// detach unregisters s, closes its Events and drops its server-side
+// subscription; r gets the unsubscribe RPC's response.
+func (c *Client) detach(s *Subscription, r chan Response) {
+	id := s.serverID
+	if _, ok := c.subs[s]; ok {
+		delete(c.subs, s)
+		close(s.Events)
+		s.serverID = 0
+	}
+	if id == 0 {
+		r <- Response{OK: true}
+		return
+	}
+	delete(c.link.bySub, id)
+	c.send(call{req: Request{Op: OpUnsubscribe, Sub: id}, reply: r})
+}
+
+// subscribeNext sends the subscribe RPC for the next handle waiting on
+// this connection, resuming from its tracker.
+func (c *Client) subscribeNext() {
+	l := c.link
+	for l != nil && !l.subBusy && len(l.toSub) > 0 {
+		s := l.toSub[0]
+		l.toSub = l.toSub[1:]
+		if _, ok := c.subs[s]; ok {
+			l.subBusy = true
+			c.send(call{req: Request{Op: OpSubscribe, Template: s.tpl, FromSeq: s.tr.lastSeq, Epoch: s.tr.epoch}, sub: s})
+		}
+	}
+}
+
+func (c *Client) onResponse(resp Response) {
+	l := c.link
+	p, ok := l.pending[resp.Seq]
+	if !ok {
+		return
+	}
+	delete(l.pending, resp.Seq)
+	s := p.sub
+	if s == nil {
+		if p.reply != nil {
+			p.reply <- resp
+		}
+		return
+	}
+	l.subBusy = false
+	_, live := c.subs[s]
+	switch {
+	case !live:
+		if resp.Err == "" {
+			// Unsubscribed while the RPC was in flight: drop the
+			// server-side subscription it created.
+			c.send(call{req: Request{Op: OpUnsubscribe, Sub: resp.Sub}})
+		}
+	case resp.Err != "":
+		s.wake(resp)
+	default:
+		s.serverID = resp.Sub
+		l.bySub[resp.Sub] = s
+		resync := s.tr.attach(resp.Epoch, resp.Replay)
+		s.publish()
+		s.wake(resp)
+		if resync {
+			// The gateway queues the replay right behind the ack, and
+			// the loop reads no frame before this returns, so the
+			// marker precedes every event of the new attachment.
+			c.deliver(s, SubEvent{Resync: true, Epoch: resp.Epoch})
+		}
+	}
+	c.subscribeNext()
+}
+
+// onEvent routes one event frame to its handle, runs the sequence
+// checks and delivers the event unless it is a redelivery.
+func (c *Client) onEvent(ev *Event) {
+	s := c.link.bySub[ev.Sub]
+	if s == nil {
+		return
+	}
+	fresh := s.tr.observe(ev)
+	s.publish()
+	if !fresh {
+		return
+	}
 	out := SubEvent{
 		Type:   ev.Type,
 		Peer:   ev.Peer,
 		GSeq:   ev.GSeq,
 		DSeq:   ev.DSeq,
-		Drops:  cumDrops,
+		Drops:  s.tr.dropsBase + s.tr.drops,
 		Replay: ev.Replay,
-		Epoch:  epoch,
+		Epoch:  s.tr.epoch,
 	}
 	if len(ev.Tuple) > 0 {
-		if t, err := tuple.UnmarshalTupleJSON(c.cfg.Registry, ev.Tuple); err == nil {
+		if t, err := tuple.UnmarshalTupleJSON(tuple.DefaultRegistry, ev.Tuple); err == nil {
 			out.Tuple = t
 		}
 	}
-	target.deliver(out, c.closec)
+	c.deliver(s, out)
 }
 
-// resubscribe re-establishes one subscription on the current
-// connection, requesting replay from the last sequence seen. On an
-// epoch change or replay miss it emits a Resync marker first so the
-// consumer knows to rebuild its state. Calls serialize on estMu and
-// skip when the handle is already attached (serverID set), so two
-// racing establishers send at most one subscribe RPC.
-func (c *Client) resubscribe(s *Subscription) error {
-	s.estMu.Lock()
-	defer s.estMu.Unlock()
-	s.mu.Lock()
-	if s.closed || s.serverID != 0 {
-		s.mu.Unlock()
-		return nil
-	}
-	tplJSON, err := tuple.MarshalTemplateJSON(s.tpl)
-	if err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	req := Request{
-		Op:       OpSubscribe,
-		Template: tplJSON,
-		FromSeq:  s.lastSeq,
-		Epoch:    s.epoch,
-	}
-	s.mu.Unlock()
-	resp, err := c.roundTripSub(req, s)
-	if err != nil {
-		return err
-	}
-	if resp.Err != "" {
-		return errors.New(resp.Err)
-	}
-	// The read loop already applied the ack (applySubscribeAck) before
-	// handing us the response; here we only emit the Resync marker it
-	// flagged, from outside the read loop so a full Events channel
-	// cannot stall event dispatch.
-	s.mu.Lock()
-	resync := s.needResync
-	s.needResync = false
-	epoch := s.epoch
-	s.mu.Unlock()
-	if resync {
-		s.deliver(SubEvent{Resync: true, Epoch: epoch}, c.closec)
-	}
-	return nil
-}
-
-// applySubscribeAck records a subscribe response's server-side state on
-// the subscription. It runs in the read-loop goroutine so it is
-// ordered strictly before the replay events that follow the ack on the
-// wire.
-func (c *Client) applySubscribeAck(s *Subscription, resp Response) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	epochChanged := s.epoch != "" && s.epoch != resp.Epoch
-	missed := resp.Replay == ReplayMiss
-	if epochChanged || missed {
-		// Sequence space reset (or partially evicted): everything
-		// accumulated so far is unreliable. Reset tracking so the new
-		// epoch's replay passes dedup, and flag the consumer to rebuild.
-		s.lastSeq = 0
-		s.needResync = true
-	}
-	// Every ack is a fresh server-side attachment whose delivery
-	// sequence and drop counter restart at zero — regardless of epoch
-	// or replay outcome — so the client-side trackers must too, or a
-	// stale counter would flag the next legitimate drop-covered gap as
-	// a violation. Observed drops roll into dropsBase so Drops() stays
-	// cumulative for consumers.
-	s.dropsBase += s.drops
-	s.drops = 0
-	s.lastDSeq = 0
-	s.epoch = resp.Epoch
-	s.serverID = resp.Sub
-}
-
-// detachSubs marks every subscription as having no server-side id, so
-// stray events cannot misroute after reconnect.
-func (c *Client) detachSubs() {
-	c.mu.Lock()
-	subs := append([]*Subscription(nil), c.subs...)
-	c.mu.Unlock()
-	for _, s := range subs {
-		s.mu.Lock()
-		s.serverID = 0
-		s.mu.Unlock()
-	}
-}
-
-// failPending aborts every in-flight round trip by closing its
-// response channel. A close — not a synthesized Response — is what
-// distinguishes a transport failure from a gateway verdict: do() must
-// retry the former under the policy and only treat the latter as
-// permanent.
-func (c *Client) failPending() {
-	c.mu.Lock()
-	pend := c.pending
-	c.pending = make(map[uint64]chan Response)
-	c.subFor = make(map[uint64]*Subscription)
-	c.mu.Unlock()
-	for _, ch := range pend {
-		close(ch)
-	}
-}
-
-// roundTrip sends one request on the current connection and waits for
-// its response (no retries — Do wraps it with the policy).
-func (c *Client) roundTrip(req Request) (Response, error) {
-	return c.roundTripSub(req, nil)
-}
-
-// roundTripSub is roundTrip with an optional subscription to bind to
-// the request seq, so the read loop applies the subscribe ack before
-// dispatching the replay events behind it.
-func (c *Client) roundTripSub(req Request, sub *Subscription) (Response, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return Response{}, ErrClientClosed
-	}
-	nc := c.nc
-	if nc == nil {
-		c.mu.Unlock()
-		return Response{}, ErrDisconnected
-	}
-	c.reqSeq++
-	req.Seq = c.reqSeq
-	ch := make(chan Response, 1)
-	c.pending[req.Seq] = ch
-	if sub != nil {
-		c.subFor[req.Seq] = sub
-	}
-	c.mu.Unlock()
-
-	buf, err := EncodeFrame(req)
-	if err != nil {
-		c.abandon(req.Seq)
-		return Response{}, err
-	}
-	_ = nc.SetWriteDeadline(time.Now().Add(c.cfg.RequestTimeout))
-	if _, err := nc.Write(buf); err != nil {
-		c.abandon(req.Seq)
-		_ = nc.Close()
-		return Response{}, err
-	}
+// deliver hands ev to s's consumer. While Events is full it blocks —
+// and with it the reader, which backpressures the socket — until the
+// consumer takes ev, Unsubscribe aborts s, or Close.
+func (c *Client) deliver(s *Subscription, ev SubEvent) {
 	select {
-	case resp, ok := <-ch:
-		if !ok {
-			// failPending closed the channel: the connection died with
-			// this request in flight. That is a transport error —
-			// retryable under the policy — not a gateway verdict.
-			return Response{}, ErrDisconnected
-		}
-		return resp, nil
-	case <-time.After(c.cfg.RequestTimeout):
-		c.abandon(req.Seq)
-		return Response{}, ErrTimeout
-	case <-c.closec:
-		c.abandon(req.Seq)
-		return Response{}, ErrClientClosed
+	case s.Events <- ev:
+	case <-s.abort:
+	case <-c.ctx.Done():
 	}
 }
 
-func (c *Client) abandon(seq uint64) {
-	c.mu.Lock()
-	delete(c.pending, seq)
-	delete(c.subFor, seq)
-	c.mu.Unlock()
+// call hands one message to the loop and waits for the answer, both
+// within one RequestTimeout.
+func (c *Client) call(req Request, s *Subscription) (Response, error) {
+	ctx, cancel := context.WithTimeout(c.ctx, c.cfg.RequestTimeout)
+	defer cancel()
+	cl := call{req: req, sub: s, reply: make(chan Response, 1)}
+	select {
+	case c.calls <- cl:
+		select {
+		case resp, ok := <-cl.reply:
+			if !ok {
+				return Response{}, ErrDisconnected
+			}
+			return resp, nil
+		case <-ctx.Done():
+		}
+	case <-ctx.Done():
+	}
+	if c.ctx.Err() != nil {
+		return Response{}, ErrClientClosed
+	}
+	return Response{}, ErrTimeout
 }
 
-// do runs one RPC under the retry policy.
-func (c *Client) do(req Request) (Response, error) {
+// do runs one call under the retry policy.
+func (c *Client) do(req Request, s *Subscription) (Response, error) {
 	var resp Response
 	err := c.cfg.Policy.Do(func() error {
-		r, err := c.roundTrip(req)
+		r, err := c.call(req, s)
 		if err != nil {
 			if errors.Is(err, ErrClientClosed) {
 				return retry.Permanent(err)
@@ -638,14 +589,14 @@ func (c *Client) do(req Request) (Response, error) {
 		}
 		resp = r
 		return nil
-	}, c.closec)
+	}, c.ctx.Done())
 	return resp, err
 }
 
 // Ping round-trips a no-op and returns the gateway's epoch and current
 // event sequence.
 func (c *Client) Ping() (epoch string, seq uint64, err error) {
-	resp, err := c.do(Request{Op: OpPing})
+	resp, err := c.do(Request{Op: OpPing}, nil)
 	if err != nil {
 		return "", 0, err
 	}
@@ -658,7 +609,7 @@ func (c *Client) Inject(t tuple.Tuple) (tuple.ID, error) {
 	if t == nil {
 		return tuple.ID{}, fmt.Errorf("gateway: nil tuple")
 	}
-	resp, err := c.do(Request{Op: OpInject, Kind: t.Kind(), Content: t.Content()})
+	resp, err := c.do(Request{Op: OpInject, Kind: t.Kind(), Content: t.Content()}, nil)
 	if err != nil {
 		return tuple.ID{}, err
 	}
@@ -671,17 +622,15 @@ func (c *Client) Read(tpl tuple.Template) ([]tuple.Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.do(Request{Op: OpRead, Template: tplJSON})
+	resp, err := c.do(Request{Op: OpRead, Template: tplJSON}, nil)
 	if err != nil {
 		return nil, err
 	}
 	var out []tuple.Tuple
 	for _, raw := range resp.Tuples {
-		t, err := tuple.UnmarshalTupleJSON(c.cfg.Registry, raw)
-		if err != nil {
-			continue
+		if t, err := tuple.UnmarshalTupleJSON(tuple.DefaultRegistry, raw); err == nil {
+			out = append(out, t)
 		}
-		out = append(out, t)
 	}
 	return out, nil
 }
@@ -690,37 +639,19 @@ func (c *Client) Read(tpl tuple.Template) ([]tuple.Tuple, error) {
 // blocks until the gateway acknowledges it (or the retry budget is
 // spent). The subscription survives reconnects transparently.
 func (c *Client) Subscribe(tpl tuple.Template) (*Subscription, error) {
-	s := &Subscription{
-		c:      c,
-		tpl:    tpl,
-		Events: make(chan SubEvent, c.cfg.EventBuffer),
-		done:   make(chan struct{}),
-	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClientClosed
-	}
-	c.subs = append(c.subs, s)
-	c.mu.Unlock()
-
-	// Establish it now if connected; otherwise the manager will on the
-	// next (re)connect. Either way the handle is registered, so the
-	// subscription cannot be lost.
-	err := c.cfg.Policy.Do(func() error {
-		if err := c.resubscribe(s); err != nil {
-			return err
-		}
-		s.mu.Lock()
-		ok := s.serverID != 0
-		s.mu.Unlock()
-		if !ok {
-			return ErrDisconnected
-		}
-		return nil
-	}, c.closec)
+	tplJSON, err := tuple.MarshalTemplateJSON(tpl)
 	if err != nil {
-		c.removeSub(s)
+		return nil, err
+	}
+	s := &Subscription{
+		tpl:    tplJSON,
+		Events: make(chan SubEvent, c.cfg.EventBuffer),
+		abort:  make(chan struct{}),
+	}
+	// The first attempt registers the handle with the loop, which
+	// (re)subscribes it on every connect; retries only wait for that.
+	if _, err := c.do(Request{Op: OpSubscribe}, s); err != nil {
+		_ = c.Unsubscribe(s)
 		return nil, err
 	}
 	return s, nil
@@ -728,28 +659,15 @@ func (c *Client) Subscribe(tpl tuple.Template) (*Subscription, error) {
 
 // Unsubscribe drops the subscription and closes its channel.
 func (c *Client) Unsubscribe(s *Subscription) error {
-	if !s.shut() {
-		return nil // already closed
+	if !s.stopped.CompareAndSwap(false, true) {
+		return nil
 	}
-	c.removeSub(s)
-	s.mu.Lock()
-	serverID := s.serverID
-	s.serverID = 0
-	s.mu.Unlock()
-	if serverID != 0 {
-		_, err := c.do(Request{Op: OpUnsubscribe, Sub: serverID})
-		return err
+	close(s.abort)
+	_, err := c.do(Request{Op: OpUnsubscribe}, s)
+	if c.ctx.Err() != nil {
+		// Close has closed Events, and the connection took every
+		// server-side subscription with it.
+		return nil
 	}
-	return nil
-}
-
-func (c *Client) removeSub(s *Subscription) {
-	c.mu.Lock()
-	for i, cur := range c.subs {
-		if cur == s {
-			c.subs = append(c.subs[:i], c.subs[i+1:]...)
-			break
-		}
-	}
-	c.mu.Unlock()
+	return err
 }

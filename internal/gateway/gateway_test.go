@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net"
 	"sync/atomic"
@@ -48,6 +49,29 @@ func testClient(t *testing.T, addr string) *Client {
 	})
 	t.Cleanup(func() { _ = c.Close() })
 	return c
+}
+
+// newLoopClient builds a Client whose loop is not running, connected
+// to nothing, for white-box tests that call the loop's handlers
+// directly on the test goroutine.
+func newLoopClient() *Client {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &Client{
+		cfg:    ClientConfig{RequestTimeout: time.Second},
+		ctx:    ctx,
+		cancel: cancel,
+		link:   &link{pending: make(map[uint64]call), bySub: make(map[uint64]*Subscription)},
+		subs:   make(map[*Subscription]struct{}),
+	}
+}
+
+// attached registers a handle as attached under server sub id on c's
+// link, as an applied subscribe ack would.
+func (c *Client) attached(id uint64, buffer int) *Subscription {
+	s := &Subscription{Events: make(chan SubEvent, buffer), abort: make(chan struct{}), serverID: id}
+	c.subs[s] = struct{}{}
+	c.link.bySub[id] = s
+	return s
 }
 
 func waitEvent(t *testing.T, s *Subscription, what string) SubEvent {
@@ -315,13 +339,14 @@ func TestGatewaySlowConsumerDropAccounting(t *testing.T) {
 	// White-box: a connection whose outbound queue holds one frame.
 	// Drops must be counted per subscription and surfaced cumulatively
 	// on later event frames — accounted, never silent.
-	gw := &Gateway{cfg: Config{QueueSize: 1}}
+	gw := &Gateway{cfg: Config{QueueSize: 1}, conns: make(map[*conn]struct{})}
 	c := &conn{
 		gw:     gw,
 		out:    make(chan []byte, 1),
 		subs:   make(map[uint64]*serverSub),
 		closec: make(chan struct{}),
 	}
+	gw.conns[c] = struct{}{}
 	sub := &serverSub{id: 1, tpl: tuple.MatchAll()}
 	entry := func(seq uint64) ringEntry {
 		tup := pattern.NewFlood("drops")
@@ -342,15 +367,16 @@ func TestGatewaySlowConsumerDropAccounting(t *testing.T) {
 		return *fr.Event
 	}
 
-	c.mu.Lock()
-	if !c.enqueueLocked(sub, entry(1), false) {
+	gw.mu.Lock()
+	if !c.enqueue(sub, entry(1), false) {
 		t.Fatal("first event should fit")
 	}
-	if c.enqueueLocked(sub, entry(2), false) || c.enqueueLocked(sub, entry(3), false) {
+	if c.enqueue(sub, entry(2), false) || c.enqueue(sub, entry(3), false) {
 		t.Fatal("queue-full events should drop")
 	}
-	c.mu.Unlock()
-	if got := sub.drops.Load(); got != 2 {
+	got := sub.drops
+	gw.mu.Unlock()
+	if got != 2 {
 		t.Fatalf("sub drops = %d, want 2", got)
 	}
 	if gw.stats.dropped.Load() != 2 || gw.stats.delivered.Load() != 1 {
@@ -364,11 +390,11 @@ func TestGatewaySlowConsumerDropAccounting(t *testing.T) {
 	// drop count, so the client can verify its sequence gap is covered.
 	// Dropped events consume delivery-sequence numbers too, so the DSeq
 	// gap (2, 3 missing) exactly equals the drop delta.
-	c.mu.Lock()
-	if !c.enqueueLocked(sub, entry(4), false) {
+	gw.mu.Lock()
+	if !c.enqueue(sub, entry(4), false) {
 		t.Fatal("drained queue should accept")
 	}
-	c.mu.Unlock()
+	gw.mu.Unlock()
 	next := decode(<-c.out)
 	if next.GSeq != 4 || next.DSeq != 4 || next.Drops != 2 {
 		t.Fatalf("post-drop event = %+v, want gseq 4 dseq 4 drops 2", next)
@@ -443,7 +469,6 @@ func TestGatewayClientRequestTimeoutAndRetry(t *testing.T) {
 	c := Dial("127.0.0.1:1", ClientConfig{
 		Policy:         retry.New(3),
 		RequestTimeout: 200 * time.Millisecond,
-		DialTimeout:    100 * time.Millisecond,
 	})
 	defer c.Close()
 	start := time.Now()
@@ -498,12 +523,12 @@ func TestGatewayClientFreshSubscribeSeesRingReplay(t *testing.T) {
 	}
 }
 
-// TestGatewayUnsubscribeRacesLiveDispatch pins the send/close race: the
-// read loop used to check the closed flag and then send to Events
-// unlocked, so an event racing a concurrent Unsubscribe panicked the
-// whole process with a send on a closed channel. Deliveries and the
-// close now serialize on the subscription's send lock; under -race this
-// schedule flagged the old code.
+// TestGatewayUnsubscribeRacesLiveDispatch pins the send/close race: a
+// read loop that checked a closed flag and then sent to Events
+// unlocked panicked the whole process with a send on a closed channel
+// when an event raced a concurrent Unsubscribe. Only the client loop
+// sends on and closes Events, so the two cannot interleave; under
+// -race this schedule flagged the old code.
 func TestGatewayUnsubscribeRacesLiveDispatch(t *testing.T) {
 	n, gw := newTestGateway(t, Config{})
 	c := Dial(gw.Addr(), ClientConfig{
@@ -592,27 +617,25 @@ func TestGatewayFilteredSubscriptionNoFalseGaps(t *testing.T) {
 // reset too — a stale counter turned the next legitimate drop-covered
 // gap into a false violation after a same-epoch reconnect.
 func TestGatewayDropCounterResetAcrossResubscribe(t *testing.T) {
-	c := &Client{closec: make(chan struct{})}
-	s := &Subscription{
-		Events: make(chan SubEvent, 4),
-		done:   make(chan struct{}),
-	}
-	s.epoch = "e1"
-	s.serverID = 1
-	s.lastSeq = 40
-	s.lastDSeq = 9
-	s.drops = 5
-	c.subs = []*Subscription{s}
+	c := newLoopClient()
+	s := c.attached(1, 4)
+	s.tr = tracker{epoch: "e1", lastSeq: 40, lastDSeq: 9, drops: 5}
 
-	c.applySubscribeAck(s, Response{OK: true, Sub: 2, Epoch: "e1", Replay: ReplayHit})
-	if s.needResync {
-		t.Fatal("same-epoch replay hit must not force a resync")
+	// The reconnect: the old link's ids are gone and the ack for the
+	// resubscribe RPC attaches the handle as server sub 2.
+	c.link = &link{pending: map[uint64]call{7: {sub: s}}, bySub: make(map[uint64]*Subscription)}
+	s.serverID = 0
+	c.onResponse(Response{Seq: 7, OK: true, Sub: 2, Epoch: "e1", Replay: ReplayHit})
+	select {
+	case ev := <-s.Events:
+		t.Fatalf("same-epoch replay hit must not force a resync, got %+v", ev)
+	default:
 	}
-	if s.lastSeq != 40 {
-		t.Fatalf("lastSeq = %d, want 40 (the global sequence survives a same-epoch reconnect)", s.lastSeq)
+	if s.tr.lastSeq != 40 {
+		t.Fatalf("lastSeq = %d, want 40 (the global sequence survives a same-epoch reconnect)", s.tr.lastSeq)
 	}
-	if s.drops != 0 || s.lastDSeq != 0 {
-		t.Fatalf("per-attachment trackers not reset: drops=%d lastDSeq=%d", s.drops, s.lastDSeq)
+	if s.tr.drops != 0 || s.tr.lastDSeq != 0 {
+		t.Fatalf("per-attachment trackers not reset: drops=%d lastDSeq=%d", s.tr.drops, s.tr.lastDSeq)
 	}
 	if got := s.Drops(); got != 5 {
 		t.Fatalf("Drops() = %d, want 5 (prior drops stay in the cumulative count)", got)
@@ -622,7 +645,7 @@ func TestGatewayDropCounterResetAcrossResubscribe(t *testing.T) {
 	// of it (dseq 1), so it arrives as dseq 2 with drops 1. Comparing
 	// against the stale pre-reconnect counter (5) used to flag this as
 	// an unaccounted gap.
-	c.dispatchEvent(Event{Sub: 2, GSeq: 43, DSeq: 2, Drops: 1})
+	c.onEvent(&Event{Sub: 2, GSeq: 43, DSeq: 2, Drops: 1})
 	if got := s.GapViolations(); got != 0 {
 		t.Fatalf("gap violations = %d, want 0 (gap is covered in the new counter space)", got)
 	}
@@ -631,7 +654,7 @@ func TestGatewayDropCounterResetAcrossResubscribe(t *testing.T) {
 		t.Fatalf("delivered Drops = %d, want cumulative 6", ev.Drops)
 	}
 	// A genuinely unaccounted gap in the new space is still caught.
-	c.dispatchEvent(Event{Sub: 2, GSeq: 45, DSeq: 5, Drops: 1})
+	c.onEvent(&Event{Sub: 2, GSeq: 45, DSeq: 5, Drops: 1})
 	if got := s.GapViolations(); got != 1 {
 		t.Fatalf("gap violations = %d, want 1 for an uncovered delivery gap", got)
 	}
@@ -707,17 +730,18 @@ func TestGatewaySubscribeRetryDoesNotDuplicateServerSub(t *testing.T) {
 }
 
 // TestGatewaySubscribeAckNeverBlocksFanoutLock: queueing the subscribe
-// ack happens under the connection lock the event fan-out path (and
+// ack happens under the gateway lock the event fan-out path (and
 // through it the engine dispatch goroutine) waits on, so it must never
 // block on a wedged client — the connection is dropped instead.
 func TestGatewaySubscribeAckNeverBlocksFanoutLock(t *testing.T) {
-	gw := &Gateway{cfg: Config{QueueSize: 1}, ring: newEventRing(4)}
+	gw := &Gateway{cfg: Config{QueueSize: 1}, ring: newEventRing(4), conns: make(map[*conn]struct{})}
 	c := &conn{
 		gw:     gw,
 		out:    make(chan []byte, 1),
 		subs:   make(map[uint64]*serverSub),
 		closec: make(chan struct{}),
 	}
+	gw.conns[c] = struct{}{}
 	c.out <- []byte{0} // wedge the outbound queue
 
 	type result struct {
@@ -740,13 +764,131 @@ func TestGatewaySubscribeAckNeverBlocksFanoutLock(t *testing.T) {
 	// The lock the fan-out path needs is free again immediately.
 	locked := make(chan struct{})
 	go func() {
-		c.mu.Lock()
-		c.mu.Unlock() //nolint:staticcheck // probing lock availability
+		gw.mu.Lock()
+		gw.mu.Unlock() //nolint:staticcheck // probing lock availability
 		close(locked)
 	}()
 	select {
 	case <-locked:
 	case <-time.After(time.Second):
-		t.Fatal("connection lock still held after the wedged subscribe")
+		t.Fatal("gateway lock still held after the wedged subscribe")
+	}
+}
+
+// TestGatewayResyncMarkerPrecedesNewEpochEvents: after a gateway
+// restart the resubscribe ack reveals the epoch change, and the replay
+// of the new ring follows it on the wire. The consumer must see the
+// Resync marker before any event of the new epoch, or it applies
+// new-epoch state and then throws it away on the marker.
+func TestGatewayResyncMarkerPrecedesNewEpochEvents(t *testing.T) {
+	n, gw := newTestGateway(t, Config{})
+	addr := gw.Addr()
+	c := testClient(t, addr)
+	sub, err := c.Subscribe(tuple.MatchAll())
+	if err != nil {
+		t.Fatalf("subscribe: %v", err)
+	}
+	injectN(t, n, "before", 1)
+	firstEpoch := waitTupleEvent(t, sub, core.TupleArrived.String()).Epoch
+
+	if err := gw.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("relisten %s: %v", addr, err)
+	}
+	gw2 := ServeListener(n, ln, Config{})
+	defer gw2.Close()
+	injectN(t, n, "after", 50)
+
+	deadline := time.After(10 * time.Second)
+	for {
+		select {
+		case ev, ok := <-sub.Events:
+			if !ok {
+				t.Fatal("subscription channel closed")
+			}
+			if ev.Epoch == firstEpoch {
+				continue
+			}
+			if !ev.Resync {
+				t.Fatalf("first new-epoch delivery is %+v, want the Resync marker", ev)
+			}
+			if ev.Epoch != gw2.Epoch() {
+				t.Fatalf("resync epoch = %q, want %q", ev.Epoch, gw2.Epoch())
+			}
+			if got := sub.GapViolations(); got != 0 {
+				t.Fatalf("client recorded %d unaccounted gaps", got)
+			}
+			return
+		case <-deadline:
+			t.Fatal("client never resynced after gateway restart")
+		}
+	}
+}
+
+// TestGatewayClientCloseWithBlockedDelivery: with a consumer that never
+// reads, the client loop sits in a send on a full Events channel. Close
+// must still end it promptly and close Events.
+func TestGatewayClientCloseWithBlockedDelivery(t *testing.T) {
+	n, gw := newTestGateway(t, Config{})
+	c := Dial(gw.Addr(), ClientConfig{
+		Policy:         retry.New(13),
+		RequestTimeout: 3 * time.Second,
+		EventBuffer:    1,
+	})
+	sub, err := c.Subscribe(tuple.MatchAll())
+	if err != nil {
+		t.Fatalf("subscribe: %v", err)
+	}
+	stop := make(chan struct{})
+	injectorDone := make(chan struct{})
+	go func() {
+		defer close(injectorDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				if _, err := n.Inject(pattern.NewFlood("wedge")); err != nil {
+					return
+				}
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-injectorDone
+	}()
+	// Wait until the one-slot buffer is full, so the loop's next
+	// delivery blocks.
+	for deadline := time.Now().Add(5 * time.Second); len(sub.Events) < cap(sub.Events); {
+		if time.Now().After(deadline) {
+			t.Fatal("no event reached the subscription")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		_ = c.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close blocked behind a wedged delivery")
+	}
+	drained := time.After(2 * time.Second)
+	for {
+		select {
+		case _, ok := <-sub.Events:
+			if !ok {
+				return
+			}
+		case <-drained:
+			t.Fatal("Events never closed after Close")
+		}
 	}
 }

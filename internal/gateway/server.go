@@ -41,9 +41,6 @@ type Config struct {
 	RingSize int
 	// QueueSize is the per-connection outbound event queue bound.
 	QueueSize int
-	// Registry resolves tuple kinds for inject requests; defaults to
-	// tuple.DefaultRegistry.
-	Registry *tuple.Registry
 	// Logger receives connection-level errors; nil discards them.
 	Logger *slog.Logger
 }
@@ -87,23 +84,23 @@ type gatewayStats struct {
 
 // Gateway serves the client RPC surface for one middleware node.
 type Gateway struct {
-	node  *core.Node
-	cfg   Config
-	ln    net.Listener
-	epoch string
-	ring  *eventRing
-
-	// evMu serializes event sequencing: engine dispatches may arrive on
-	// several goroutines (transport receive loop, refresh ticker,
-	// local API calls), and sequence assignment, ring append and
-	// fan-out must agree on one order.
-	evMu sync.Mutex
-	gseq uint64
-
-	mu      sync.Mutex
-	conns   map[*conn]struct{}
-	closed  bool
+	node    *core.Node
+	cfg     Config
+	ln      net.Listener
+	epoch   string
 	coreSub core.SubID
+
+	// mu is the gateway's one lock. It guards the sequence, the ring,
+	// the connection set and every connection's subscriptions. Engine
+	// dispatches arrive on several goroutines (transport receive loop,
+	// refresh ticker, local API calls), and sequence assignment, ring
+	// append and fan-out agree on one order by happening under it.
+	// Nothing under mu blocks: frames are queued non-blocking.
+	mu     sync.Mutex
+	gseq   uint64
+	ring   *eventRing
+	conns  map[*conn]struct{}
+	closed bool
 
 	stats gatewayStats
 	wg    sync.WaitGroup
@@ -129,9 +126,6 @@ func ServeListener(node *core.Node, ln net.Listener, cfg Config) *Gateway {
 	}
 	if cfg.QueueSize <= 0 {
 		cfg.QueueSize = DefaultQueueSize
-	}
-	if cfg.Registry == nil {
-		cfg.Registry = tuple.DefaultRegistry
 	}
 	g := &Gateway{
 		node:  node,
@@ -195,6 +189,8 @@ func (g *Gateway) Close() error {
 	for c := range g.conns {
 		conns = append(conns, c)
 	}
+	// Unsubscribe and the conn closes take locks of their own (the
+	// engine's, and mu again), so they run after mu is released.
 	g.mu.Unlock()
 	g.node.Unsubscribe(g.coreSub)
 	err := g.ln.Close()
@@ -254,11 +250,7 @@ func (g *Gateway) acceptLoop() {
 // onto: sequence, retain, fan out. It must never block on a client —
 // per-connection queues absorb or drop.
 func (g *Gateway) onEvent(ev core.Event) {
-	g.evMu.Lock()
-	defer g.evMu.Unlock()
-	g.gseq++
 	entry := ringEntry{
-		seq:  g.gseq,
 		typ:  ev.Type.String(),
 		peer: string(ev.Peer),
 	}
@@ -268,23 +260,16 @@ func (g *Gateway) onEvent(ev core.Event) {
 			entry.tJSON = data
 		}
 	}
-	g.ring.append(entry)
 	g.mu.Lock()
-	conns := make([]*conn, 0, len(g.conns))
+	defer g.mu.Unlock()
+	g.gseq++
+	entry.seq = g.gseq
+	g.ring.append(entry)
 	for c := range g.conns {
-		conns = append(conns, c)
+		for _, sub := range c.subs {
+			c.enqueue(sub, entry, false)
+		}
 	}
-	g.mu.Unlock()
-	for _, c := range conns {
-		c.deliver(entry, false)
-	}
-}
-
-// seqNow reads the current gateway sequence.
-func (g *Gateway) seqNow() uint64 {
-	g.evMu.Lock()
-	defer g.evMu.Unlock()
-	return g.gseq
 }
 
 // serverSub is one client subscription on one connection.
@@ -294,9 +279,10 @@ type serverSub struct {
 	// dseq is the per-subscription delivery sequence: every matched
 	// event consumes one number whether it was queued or dropped, so a
 	// client-observed dseq gap equals the number of matched events shed
-	// to the bounded queue in between. Guarded by conn.mu.
+	// to the bounded queue in between. Guarded by Gateway.mu, as is
+	// drops, the cumulative count of events lost to the bounded queue.
 	dseq  uint64
-	drops atomic.Uint64 // cumulative events lost to the bounded queue
+	drops uint64
 }
 
 // conn is one client connection: a reader goroutine handling RPCs, a
@@ -312,31 +298,34 @@ type conn struct {
 	// when the client reads too slowly.
 	out chan []byte
 
-	mu      sync.Mutex
+	// subs and nextSub are guarded by Gateway.mu. A conn is open while
+	// it is in Gateway.conns.
 	subs    map[uint64]*serverSub
 	nextSub uint64
 
-	closeOnce sync.Once
-	closec    chan struct{}
+	closec chan struct{}
 }
 
+// close removes c from the gateway and closes it; the first call does
+// the work, later ones (reader, writer and Gateway.Close all call it)
+// return.
 func (c *conn) close() {
-	c.closeOnce.Do(func() {
+	g := c.gw
+	g.mu.Lock()
+	_, open := g.conns[c]
+	n := len(c.subs)
+	if open {
+		delete(g.conns, c)
+		c.subs = nil
 		close(c.closec)
-		_ = c.nc.Close()
-		c.gw.mu.Lock()
-		_, tracked := c.gw.conns[c]
-		delete(c.gw.conns, c)
-		c.gw.mu.Unlock()
-		if tracked {
-			c.gw.stats.clients.Add(-1)
-			c.mu.Lock()
-			n := len(c.subs)
-			c.subs = map[uint64]*serverSub{}
-			c.mu.Unlock()
-			c.gw.stats.subscriptions.Add(-int64(n))
-		}
-	})
+	}
+	g.mu.Unlock()
+	if !open {
+		return
+	}
+	_ = c.nc.Close()
+	g.stats.clients.Add(-1)
+	g.stats.subscriptions.Add(-int64(n))
 }
 
 func (c *conn) readLoop() {
@@ -354,8 +343,17 @@ func (c *conn) readLoop() {
 		if resp == nil {
 			continue // already enqueued (subscribe orders it before replay)
 		}
+		// Responses are queued blocking: a client's own RPC traffic
+		// backpressures only itself.
 		resp.Seq = req.Seq
-		if !c.enqueueResponse(*resp) {
+		buf, err := EncodeFrame(Frame{Resp: resp})
+		if err != nil {
+			c.gw.logf("gateway: encode response", "err", err)
+			return
+		}
+		select {
+		case c.out <- buf:
+		case <-c.closec:
 			return
 		}
 	}
@@ -377,29 +375,15 @@ func (c *conn) writeLoop() {
 	}
 }
 
-// enqueueResponse queues one response frame, blocking (a client's own
-// RPC traffic backpressures only itself). False means the connection
-// closed.
-func (c *conn) enqueueResponse(resp Response) bool {
-	buf, err := EncodeFrame(Frame{Resp: &resp})
-	if err != nil {
-		c.gw.logf("gateway: encode response", "err", err)
-		return false
-	}
-	select {
-	case c.out <- buf:
-		return true
-	case <-c.closec:
-		return false
-	}
-}
-
 // handle dispatches one request. A nil response means the handler
 // already enqueued its own; fatal means the connection must close.
 func (c *conn) handle(req Request) (resp *Response, fatal bool) {
 	switch req.Op {
 	case OpPing:
-		return &Response{OK: true, Epoch: c.gw.epoch, NextSeq: c.gw.seqNow()}, false
+		c.gw.mu.Lock()
+		seq := c.gw.gseq
+		c.gw.mu.Unlock()
+		return &Response{OK: true, Epoch: c.gw.epoch, NextSeq: seq}, false
 	case OpInject:
 		r := c.handleInject(req)
 		return &r, false
@@ -409,10 +393,10 @@ func (c *conn) handle(req Request) (resp *Response, fatal bool) {
 	case OpSubscribe:
 		return c.handleSubscribe(req)
 	case OpUnsubscribe:
-		c.mu.Lock()
+		c.gw.mu.Lock()
 		_, ok := c.subs[req.Sub]
 		delete(c.subs, req.Sub)
-		c.mu.Unlock()
+		c.gw.mu.Unlock()
 		if ok {
 			c.gw.stats.subscriptions.Add(-1)
 		}
@@ -429,7 +413,7 @@ func (c *conn) handleInject(req Request) Response {
 	if err := req.Content.Validate(); err != nil {
 		return Response{Err: fmt.Sprintf("gateway: inject: %v", err)}
 	}
-	t, err := c.gw.cfg.Registry.New(req.Kind, tuple.ID{}, req.Content)
+	t, err := tuple.DefaultRegistry.New(req.Kind, tuple.ID{}, req.Content)
 	if err != nil {
 		return Response{Err: fmt.Sprintf("gateway: inject: %v", err)}
 	}
@@ -448,43 +432,39 @@ func (c *conn) handleRead(req Request) Response {
 	}
 	var out []json.RawMessage
 	for _, t := range c.gw.node.Read(tpl) {
-		data, err := tuple.MarshalTupleJSON(t)
-		if err != nil {
-			continue
+		if data, err := tuple.MarshalTupleJSON(t); err == nil {
+			out = append(out, data)
 		}
-		out = append(out, data)
 	}
 	c.gw.stats.reads.Add(1)
 	return Response{OK: true, Tuples: out}
 }
 
 // handleSubscribe installs the subscription and performs seq-based
-// replay. Lock order matters for the no-gap guarantee: taking c.mu
-// blocks live fan-out to this connection while the ring snapshot is
-// queued, so a concurrent event is either in the snapshot or delivered
-// live afterwards — possibly both (the client dedups by gseq), never
-// neither. Everything queued under c.mu is queued NON-blocking: the
-// evMu-holding fan-out path (onEvent → deliver) waits on c.mu, so
-// blocking here on one wedged client would stall event dispatch for
-// every client on the gateway and the engine goroutine behind it. A
-// true second return closes the connection (its queue could not take
-// even the ack — the client is not reading).
+// replay in one critical section under Gateway.mu: the sequence, the
+// ring snapshot, the new subscription and the queued ack and replay
+// all sit between two events, so a concurrent event is either in the
+// snapshot or fanned out live afterwards, never neither. Everything
+// queued under mu is queued NON-blocking: fan-out for every client on
+// the gateway, and the engine goroutine behind it, waits on mu. A true
+// second return closes the connection (it is already closed, or its
+// queue could not take even the ack — the client is not reading).
 func (c *conn) handleSubscribe(req Request) (*Response, bool) {
 	tpl, err := decodeTemplate(req.Template)
 	if err != nil {
 		return &Response{Err: fmt.Sprintf("gateway: subscribe: %v", err)}, false
 	}
-	// seqNow takes evMu; read it before c.mu to respect the evMu→c.mu
-	// lock order the live fan-out path (onEvent→deliver) establishes.
-	seqAt := c.gw.seqNow()
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.gw.mu.Lock()
+	defer c.gw.mu.Unlock()
+	if _, open := c.gw.conns[c]; !open {
+		return nil, true
+	}
 	c.nextSub++
 	sub := &serverSub{id: c.nextSub, tpl: tpl}
 	c.subs[sub.id] = sub
 	c.gw.stats.subscriptions.Add(1)
 
-	resp := Response{OK: true, Sub: sub.id, Epoch: c.gw.epoch, NextSeq: seqAt}
+	resp := Response{OK: true, Sub: sub.id, Epoch: c.gw.epoch, NextSeq: c.gw.gseq}
 	wantReplay := req.FromSeq > 0 || req.Epoch != ""
 	from := req.FromSeq
 	sameEpoch := req.Epoch == "" || req.Epoch == c.gw.epoch
@@ -504,9 +484,8 @@ func (c *conn) handleSubscribe(req Request) (*Response, bool) {
 			c.gw.stats.replayMisses.Add(1)
 		}
 	}
-	// The acknowledgement must precede the replayed events on the wire
-	// (the client routes events by the sub id the ack carries), and both
-	// must be queued under c.mu so live fan-out cannot interleave a gap.
+	// The acknowledgement must precede the replayed events on the wire:
+	// the client routes events by the sub id the ack carries.
 	resp.Seq = req.Seq
 	buf, err := EncodeFrame(Frame{Resp: &resp})
 	if err != nil {
@@ -518,31 +497,24 @@ func (c *conn) handleSubscribe(req Request) (*Response, bool) {
 	default:
 		// The outbound queue is already full before the ack could be
 		// queued: this client stopped reading. Close it rather than
-		// block under c.mu, which the fan-out path for every other
-		// client needs.
+		// block under mu.
 		return nil, true
 	}
 	for _, e := range entries {
-		if c.enqueueLocked(sub, e, true) {
+		if c.enqueue(sub, e, true) {
 			c.gw.stats.replayEvents.Add(1)
 		}
 	}
 	return nil, false
 }
 
-// deliver fans one event into every matching subscription queue.
-func (c *conn) deliver(e ringEntry, replay bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, sub := range c.subs {
-		c.enqueueLocked(sub, e, replay)
-	}
-}
-
-// enqueueLocked queues one event frame for sub, dropping with
-// accounting when the client's queue is full. Callers hold c.mu.
-func (c *conn) enqueueLocked(sub *serverSub, e ringEntry, replay bool) bool {
-	if !matchEntry(sub.tpl, e) {
+// enqueue queues one event frame for sub, dropping with accounting
+// when the client's queue is full. Callers hold Gateway.mu.
+func (c *conn) enqueue(sub *serverSub, e ringEntry, replay bool) bool {
+	// Neighbor events reach subscriptions as tuples too (the paper's
+	// "any event … can be represented as a tuple"); an event without
+	// one matches nothing.
+	if e.tup == nil || !sub.tpl.Matches(e.tup) {
 		return false
 	}
 	sub.dseq++
@@ -551,7 +523,7 @@ func (c *conn) enqueueLocked(sub *serverSub, e ringEntry, replay bool) bool {
 		Sub:    sub.id,
 		GSeq:   e.seq,
 		DSeq:   sub.dseq,
-		Drops:  sub.drops.Load(),
+		Drops:  sub.drops,
 		Peer:   e.peer,
 		Tuple:  e.tJSON,
 		Replay: replay,
@@ -566,19 +538,8 @@ func (c *conn) enqueueLocked(sub *serverSub, e ringEntry, replay bool) bool {
 		c.gw.stats.delivered.Add(1)
 		return true
 	default:
-		sub.drops.Add(1)
+		sub.drops++
 		c.gw.stats.dropped.Add(1)
 		return false
 	}
-}
-
-// matchEntry applies a subscription template to a retained event. For
-// tuple events the template matches the tuple; synthesized neighbor
-// tuples go through the same path (the paper's "any event … can be
-// represented as a tuple").
-func matchEntry(tpl tuple.Template, e ringEntry) bool {
-	if e.tup == nil {
-		return false
-	}
-	return tpl.Matches(e.tup)
 }
